@@ -105,7 +105,11 @@ func BenchmarkDFLSSORound(b *testing.B) {
 	cfg := netbandit.Config{Horizon: 1000, AnnounceHorizon: true}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := netbandit.RunSingle(env, netbandit.SSO, netbandit.NewDFLSSO(), cfg, netbandit.NewRNG(uint64(i))); err != nil {
+		run, err := netbandit.NewSingleRun(env, netbandit.SSO, netbandit.NewDFLSSO(), cfg, netbandit.NewRNG(uint64(i)))
+		if err == nil {
+			_, err = run.Run()
+		}
+		if err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -198,7 +202,11 @@ func BenchmarkDFLCSRRound(b *testing.B) {
 	cfg := netbandit.Config{Horizon: 500, AnnounceHorizon: true}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := netbandit.RunCombo(env, set, netbandit.CSR, netbandit.NewDFLCSR(), cfg, netbandit.NewRNG(uint64(i))); err != nil {
+		run, err := netbandit.NewComboRun(env, set, netbandit.CSR, netbandit.NewDFLCSR(), cfg, netbandit.NewRNG(uint64(i)), nil)
+		if err == nil {
+			_, err = run.Run()
+		}
+		if err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -343,7 +351,7 @@ func ctxSteadyRound(b *testing.B, pol netbandit.ComboPolicy) {
 	const warmup = 500
 	cenv, set := ctxComboSetup(b)
 	cfg := netbandit.Config{Horizon: warmup + b.N, AnnounceHorizon: true}
-	run, err := netbandit.NewContextualComboRun(cenv, set, netbandit.CSO, pol, cfg, netbandit.NewRNG(13), nil)
+	run, err := netbandit.NewComboRun(cenv, set, netbandit.CSO, pol, cfg, netbandit.NewRNG(13), nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -66,6 +66,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -186,6 +187,11 @@ func run() error {
 		return err
 	}
 
+	pol, err := sim.NewPolicySpec(o.policy, scen)
+	if err != nil {
+		return err
+	}
+
 	r := rng.New(o.seed)
 	g, err := graphs.FromName(graphs.GeneratorName(o.graph), o.k, o.p, r.Split(1))
 	if err != nil {
@@ -195,49 +201,33 @@ func run() error {
 	if err != nil {
 		return err
 	}
-
-	cfg := sim.Config{Horizon: o.horizon, AnnounceHorizon: true}
-	opts := sim.ReplicateOptions{Reps: o.reps, Seed: o.seed, Workers: o.workers}
-
-	var agg *sim.Aggregate
+	var set *strategy.Set
 	if scen.Combinatorial() {
-		set, err := strategy.TopM(o.k, o.m, g)
-		if err != nil {
-			return err
-		}
-		factory, err := comboFactory(o.policy, scen)
-		if err != nil {
-			return err
-		}
-		agg, err = sim.ReplicateCombo(env, set, scen, factory, cfg, opts)
-		if err != nil {
-			return err
-		}
-	} else {
-		factory, err := singleFactory(o.policy, scen)
-		if err != nil {
-			return err
-		}
-		agg, err = sim.ReplicateSingle(env, scen, factory, cfg, opts)
-		if err != nil {
+		if set, err = strategy.TopM(o.k, o.m, g); err != nil {
 			return err
 		}
 	}
-	return emit(agg, metric, o)
+
+	// One cell on common streams: replication rep draws from
+	// rng.New(seed).Split(rep+1), the ReplicateSingle/ReplicateCombo
+	// derivation.
+	sw := sim.Sweep{
+		Envs:          []sim.EnvSpec{sim.FixedEnv("", scen, env, set)},
+		Policies:      []sim.PolicySpec{pol},
+		Config:        sim.Config{Horizon: o.horizon, AnnounceHorizon: true},
+		Reps:          o.reps,
+		Seed:          o.seed,
+		Workers:       o.workers,
+		CommonStreams: true,
+	}
+	res, err := sw.Run(context.Background())
+	if err != nil {
+		return err
+	}
+	return emit(res.Cells[0].Agg, metric, o)
 }
 
 func policyNames() []string { return sim.PolicyNames() }
-
-// singleFactory and comboFactory resolve policy names through the shared
-// sim registry, so the ad-hoc CLI, the sweep grid, and the decision
-// service all build the same policy from the same name.
-func singleFactory(name string, scen bandit.Scenario) (sim.SingleFactory, error) {
-	return sim.SinglePolicyFactory(name, scen)
-}
-
-func comboFactory(name string, scen bandit.Scenario) (sim.ComboFactory, error) {
-	return sim.ComboPolicyFactory(name, scen)
-}
 
 func parseMetric(name string) (sim.Metric, error) {
 	switch name {

@@ -27,15 +27,15 @@ func TestSingleFactoryResolution(t *testing.T) {
 		{"random", bandit.SSO, "random"},
 	}
 	for _, tc := range tests {
-		f, err := singleFactory(tc.name, tc.scen)
+		spec, err := sim.NewPolicySpec(tc.name, tc.scen)
 		if err != nil {
 			t.Fatalf("%s/%v: %v", tc.name, tc.scen, err)
 		}
-		if got := f(r).Name(); got != tc.want {
+		if got := spec.Single(r).Name(); got != tc.want {
 			t.Errorf("%s/%v resolved to %q, want %q", tc.name, tc.scen, got, tc.want)
 		}
 	}
-	if _, err := singleFactory("bogus", bandit.SSO); err == nil {
+	if _, err := sim.NewPolicySpec("bogus", bandit.SSO); err == nil {
 		t.Fatal("unknown policy accepted")
 	}
 }
@@ -54,15 +54,15 @@ func TestComboFactoryResolution(t *testing.T) {
 		{"random", bandit.CSO, "random"},
 	}
 	for _, tc := range tests {
-		f, err := comboFactory(tc.name, tc.scen)
+		spec, err := sim.NewPolicySpec(tc.name, tc.scen)
 		if err != nil {
 			t.Fatalf("%s/%v: %v", tc.name, tc.scen, err)
 		}
-		if got := f(r).Name(); got != tc.want {
+		if got := spec.Combo(r).Name(); got != tc.want {
 			t.Errorf("%s/%v resolved to %q, want %q", tc.name, tc.scen, got, tc.want)
 		}
 	}
-	if _, err := comboFactory("bogus", bandit.CSO); err == nil {
+	if _, err := sim.NewPolicySpec("bogus", bandit.CSO); err == nil {
 		t.Fatal("unknown policy accepted")
 	}
 }

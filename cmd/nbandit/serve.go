@@ -155,8 +155,23 @@ func runLoadgen(args []string) error {
 		if err != nil {
 			return fmt.Errorf("create %s: %w", ids[i], err)
 		}
-		// 409 means the instance survived a previous run; load rides on.
-		if status != http.StatusCreated && status != http.StatusConflict {
+		switch status {
+		case http.StatusCreated:
+		case http.StatusConflict:
+			// The id survived a previous run. Load may ride on it only if
+			// it is the instance this run would have created.
+			if err := spec.Normalize(); err != nil {
+				return fmt.Errorf("create %s: %w", ids[i], err)
+			}
+			got, err := instanceHash(client, base, ids[i])
+			if err != nil {
+				return fmt.Errorf("create %s: %w", ids[i], err)
+			}
+			if want := spec.Hash(); got != want {
+				return fmt.Errorf("create %s: an instance with this id already exists with spec_hash %s, this run's spec hashes to %s (another -mode, -scenario, -policy, -k or -seed?); use a fresh data dir",
+					ids[i], got, want)
+			}
+		default:
 			return fmt.Errorf("create %s: status %d: %s", ids[i], status, bytes.TrimSpace(body))
 		}
 	}
@@ -235,6 +250,9 @@ func runLoadgen(args []string) error {
 		n, o.duration, perSec, feedbacks.Load(), errs.Load())
 	fmt.Printf("loadgen: latency mean %.3fms p50 %.3fms p95 %.3fms p99 %.3fms\n",
 		mean*1e3, pct(0.50)*1e3, pct(0.95)*1e3, pct(0.99)*1e3)
+	if o.mode == serve.FeedbackClient && feedbacks.Load() == 0 {
+		return fmt.Errorf("client mode: %d decisions served but no feedback batch accepted", n)
+	}
 
 	if o.out == "" {
 		return nil
@@ -253,6 +271,31 @@ func runLoadgen(args []string) error {
 		},
 	}
 	return mergeTrajectory(o.out, o.label, results)
+}
+
+// instanceHash returns the spec hash the service at base reports for
+// instance id.
+func instanceHash(client *http.Client, base, id string) (string, error) {
+	resp, err := client.Get(base + "/v1/instances")
+	if err != nil {
+		return "", err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return "", fmt.Errorf("list instances: status %d", resp.StatusCode)
+	}
+	var list struct {
+		Instances []serve.InstanceStats `json:"instances"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
+		return "", fmt.Errorf("list instances: %w", err)
+	}
+	for _, in := range list.Instances {
+		if in.ID == id {
+			return in.SpecHash, nil
+		}
+	}
+	return "", fmt.Errorf("instance %s answered 409 on create but is not listed", id)
 }
 
 // postJSON posts v as JSON and returns the status code and body.

@@ -5,7 +5,9 @@
 // sliding-window family is built by the multi-word arm-probe kernel.
 // The program prints construction statistics and then runs DFL-SSO
 // long enough to show the steady-state round staying cheap at this
-// scale.
+// scale. Single play needs no strategy family: the runner plays each arm
+// as an implicit singleton over its own closed neighbourhood, so the K
+// bitset rows a singleton strategy.Set would hold are never built.
 package main
 
 import (

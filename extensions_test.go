@@ -73,8 +73,12 @@ func TestFacadeKLUCB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := netbandit.RunSingle(env, netbandit.SSO, pol,
+	run, err := netbandit.NewSingleRun(env, netbandit.SSO, pol,
 		netbandit.Config{Horizon: 500}, netbandit.NewRNG(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := run.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,9 +94,12 @@ func TestFacadeTraceRecorder(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := &netbandit.TraceRecorder{Capacity: 5}
-	_, err = netbandit.RunSingle(env, netbandit.SSO, netbandit.NewDFLSSO(),
+	run, err := netbandit.NewSingleRun(env, netbandit.SSO, netbandit.NewDFLSSO(),
 		netbandit.Config{Horizon: 20, Observer: rec}, netbandit.NewRNG(4))
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := run.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if rec.Total() != 20 || len(rec.Events()) != 5 {

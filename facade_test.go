@@ -113,8 +113,12 @@ func TestFacadeEndToEndCSR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := netbandit.RunCombo(env, set, netbandit.CSR, netbandit.NewDFLCSR(),
-		netbandit.Config{Horizon: 500}, netbandit.NewRNG(6))
+	run, err := netbandit.NewComboRun(env, set, netbandit.CSR, netbandit.NewDFLCSR(),
+		netbandit.Config{Horizon: 500}, netbandit.NewRNG(6), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := run.Run()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,9 @@
 // concurrent bandit instances — one per tenant, graph, and policy,
 // each created from a declarative Spec — behind an HTTP JSON API
 // (POST /v1/decide, POST /v1/feedback, GET /v1/stats, GET /v1/instances)
-// built on the steppable sim.SingleRun/sim.ComboRun seams.
+// built on the steppable sim.Run: every instance, single-play or
+// combinatorial, fixed-mean or contextual, is one Run driven through
+// Decide and then ApplyFeedback (client mode) or AutoFeedback (env mode).
 //
 // The package's central property is that serving does not weaken the
 // repository's determinism contract. Every instance derives all

@@ -126,7 +126,7 @@ type Instance struct {
 	hash string
 	dir  string
 
-	b   *built
+	run *sim.Run
 	log *decLog
 
 	mailbox chan icmd
@@ -158,12 +158,12 @@ func newInstance(spec Spec, dir string, m *serverMetrics, rec *obs.Recorder, sna
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("serve: instance dir: %w", err)
 	}
-	b, err := spec.build()
+	run, err := spec.build()
 	if err != nil {
 		return nil, err
 	}
 	in := &Instance{
-		spec: spec, hash: hash, dir: dir, b: b,
+		spec: spec, hash: hash, dir: dir, run: run,
 		mailbox: make(chan icmd, mailboxSize),
 		stopped: make(chan struct{}),
 		m:       m, rec: rec,
@@ -180,7 +180,7 @@ func newInstance(spec Spec, dir string, m *serverMetrics, rec *obs.Recorder, sna
 		if err != nil {
 			return nil, err
 		}
-		if err := replayLog(b, &spec, rounds, snap); err != nil {
+		if err := replayLog(run, &spec, rounds, snap); err != nil {
 			in.emit(obs.Jot(obs.EvInstanceRestore, spec.ID, -1, len(rounds), "refused: %v", err))
 			return nil, err
 		}
@@ -188,12 +188,12 @@ func newInstance(spec Spec, dir string, m *serverMetrics, rec *obs.Recorder, sna
 		if err != nil {
 			return nil, err
 		}
-		in.lastSnapshot = b.run.Round()
+		in.lastSnapshot = run.Round()
 		detail := "verified"
 		if snap != nil {
 			detail = fmt.Sprintf("verified against snapshot at round %d", snap.Rounds)
 		}
-		in.emit(obs.Jot(obs.EvInstanceRestore, spec.ID, -1, b.run.Round(), "%s", detail))
+		in.emit(obs.Jot(obs.EvInstanceRestore, spec.ID, -1, run.Round(), "%s", detail))
 	} else {
 		if err := writeFileAtomic(filepath.Join(dir, SpecName), mustJSON(&spec)); err != nil {
 			return nil, err
@@ -223,14 +223,14 @@ func (in *Instance) emit(e obs.Event) {
 // publish refreshes the atomic stats snapshot. Writer goroutine only
 // (plus newInstance before the loop starts).
 func (in *Instance) publish() {
-	pt, _, pending := in.b.run.Pending()
-	cp, cr := in.b.run.Regret()
+	pt, _, pending := in.run.Pending()
+	cp, cr := in.run.Regret()
 	s := &InstanceStats{
 		ID: in.spec.ID, SpecHash: in.hash,
 		Scenario: in.spec.Scenario, Policy: in.spec.Policy,
 		Feedback: in.spec.Feedback, RewardModel: in.spec.RewardModelName(),
 		K: in.spec.K, D: in.spec.D, Horizon: in.spec.Horizon,
-		Round: in.b.run.Round(), Pending: pending, Done: in.b.run.Done(),
+		Round: in.run.Round(), Pending: pending, Done: in.run.Done(),
 		Decisions:       in.decisions,
 		FeedbackApplied: in.fbApplied, FeedbackStale: in.fbStale,
 		FeedbackMismatch: in.fbMismatch, FeedbackInvalid: in.fbInvalid,
@@ -288,8 +288,12 @@ func (in *Instance) loop() {
 // closed immediately with environment samples and logged before the
 // response is sent, so a served decision is always re-derivable.
 func (in *Instance) decide(withCtx bool) decideResp {
-	run := in.b.run
+	run := in.run
 	t, action, err := run.Decide()
+	if err != nil {
+		return decideResp{err: err}
+	}
+	arms, err := run.PendingArms()
 	if err != nil {
 		return decideResp{err: err}
 	}
@@ -299,7 +303,7 @@ func (in *Instance) decide(withCtx bool) decideResp {
 	}
 	dec := Decision{
 		Instance: in.spec.ID, T: t, Action: action,
-		Arms:    append([]int(nil), in.b.arms(action)...),
+		Arms:    append([]int(nil), arms...),
 		Closure: append([]int(nil), closure...),
 	}
 	if in.spec.Contextual() {
@@ -368,7 +372,7 @@ func (in *Instance) applyFeedback(fb FeedbackItem) string {
 	if in.spec.Feedback != FeedbackClient {
 		return "invalid"
 	}
-	run := in.b.run
+	run := in.run
 	pt, pa, open := run.Pending()
 	if !open {
 		if fb.T <= run.Round() {
@@ -423,9 +427,9 @@ func (in *Instance) applyFeedback(fb FeedbackItem) string {
 
 // afterClose runs the post-round bookkeeping: cadence snapshots.
 func (in *Instance) afterClose() {
-	if in.snapshotEvery > 0 && in.b.run.Round()-in.lastSnapshot >= in.snapshotEvery {
+	if in.snapshotEvery > 0 && in.run.Round()-in.lastSnapshot >= in.snapshotEvery {
 		if err := in.snapshot(); err != nil {
-			in.emit(obs.Jot(obs.EvHealth, in.spec.ID, -1, in.b.run.Round(), "snapshot failed: %v", err))
+			in.emit(obs.Jot(obs.EvHealth, in.spec.ID, -1, in.run.Round(), "snapshot failed: %v", err))
 		}
 	}
 }
@@ -446,7 +450,7 @@ func (in *Instance) snapshot() error {
 	if err := in.log.sync(); err != nil {
 		return err
 	}
-	snap, err := currentSnapshot(in.b, in.hash)
+	snap, err := currentSnapshot(in.run, in.hash)
 	if err != nil {
 		return err
 	}
@@ -462,12 +466,12 @@ func (in *Instance) snapshot() error {
 // currentSnapshot folds the runner's series into a 1-replication
 // aggregate state — the exact JSON round-trip representation replay
 // verification compares against.
-func currentSnapshot(b *built, hash string) (*Snapshot, error) {
-	agg, err := sim.AggregateSeries(b.run.Series())
+func currentSnapshot(run *sim.Run, hash string) (*Snapshot, error) {
+	agg, err := sim.AggregateSeries(run.Series())
 	if err != nil {
 		return nil, err
 	}
-	return &Snapshot{Spec: hash, Rounds: b.run.Round(), State: agg.State()}, nil
+	return &Snapshot{Spec: hash, Rounds: run.Round(), State: agg.State()}, nil
 }
 
 // readSnapshot loads and validates the snapshot file; a missing file is

@@ -18,15 +18,15 @@ import (
 // bit-identical values, and when a snapshot exists the aggregate state
 // at its round must reproduce it byte-for-byte. Any divergence is an
 // error; the caller must refuse to serve.
-func replayLog(b *built, spec *Spec, rounds []decRound, snap *Snapshot) error {
+func replayLog(run *sim.Run, spec *Spec, rounds []decRound, snap *Snapshot) error {
 	if snap != nil && snap.Rounds > len(rounds) {
 		return fmt.Errorf("serve: snapshot at round %d is ahead of the %d-round log", snap.Rounds, len(rounds))
 	}
 	check := func() error {
-		if snap == nil || b.run.Round() != snap.Rounds {
+		if snap == nil || run.Round() != snap.Rounds {
 			return nil
 		}
-		cur, err := currentSnapshot(b, snap.Spec)
+		cur, err := currentSnapshot(run, snap.Spec)
 		if err != nil {
 			return err
 		}
@@ -39,7 +39,7 @@ func replayLog(b *built, spec *Spec, rounds []decRound, snap *Snapshot) error {
 		return err
 	}
 	for _, r := range rounds {
-		t, action, err := b.run.Decide()
+		t, action, err := run.Decide()
 		if err != nil {
 			return fmt.Errorf("serve: replay round %d: %w", r.T, err)
 		}
@@ -47,7 +47,7 @@ func replayLog(b *built, spec *Spec, rounds []decRound, snap *Snapshot) error {
 			return fmt.Errorf("serve: replay diverged at round %d: re-derived (t=%d, action=%d), log says (t=%d, action=%d)",
 				r.T, t, action, r.T, r.A)
 		}
-		closure, err := b.run.PendingClosure()
+		closure, err := run.PendingClosure()
 		if err != nil {
 			return err
 		}
@@ -55,7 +55,7 @@ func replayLog(b *built, spec *Spec, rounds []decRound, snap *Snapshot) error {
 			return fmt.Errorf("serve: replay round %d: closure has %d arms, log has %d values", r.T, len(closure), len(r.V))
 		}
 		if spec.Feedback == FeedbackEnv {
-			obsv, err := b.run.AutoFeedback()
+			obsv, err := run.AutoFeedback()
 			if err != nil {
 				return fmt.Errorf("serve: replay round %d: %w", r.T, err)
 			}
@@ -66,7 +66,7 @@ func replayLog(b *built, spec *Spec, rounds []decRound, snap *Snapshot) error {
 				}
 			}
 		} else {
-			if err := b.run.ApplyFeedback(r.V); err != nil {
+			if err := run.ApplyFeedback(r.V); err != nil {
 				return fmt.Errorf("serve: replay round %d: %w", r.T, err)
 			}
 		}

@@ -135,26 +135,26 @@ func offlineActions(t *testing.T, spec Spec, n int) []int {
 	if err := spec.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	b, err := spec.build()
+	run, err := spec.build()
 	if err != nil {
 		t.Fatal(err)
 	}
 	actions := make([]int, 0, n)
 	for i := 0; i < n; i++ {
-		rt, action, err := b.run.Decide()
+		rt, action, err := run.Decide()
 		if err != nil {
 			t.Fatal(err)
 		}
 		actions = append(actions, action)
-		closure, err := b.run.PendingClosure()
+		closure, err := run.PendingClosure()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if spec.Feedback == FeedbackEnv {
-			if _, err := b.run.AutoFeedback(); err != nil {
+			if _, err := run.AutoFeedback(); err != nil {
 				t.Fatal(err)
 			}
-		} else if err := b.run.ApplyFeedback(fbValues(rt, closure)); err != nil {
+		} else if err := run.ApplyFeedback(fbValues(rt, closure)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -321,17 +321,17 @@ func TestRestartReplayAudit(t *testing.T) {
 	if err := ref.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	b, err := ref.build()
+	run, err := ref.build()
 	if err != nil {
 		t.Fatal(err)
 	}
 	all := append(envFirst, envSecond...)
 	for i, dec := range all {
-		rt, action, err := b.run.Decide()
+		rt, action, err := run.Decide()
 		if err != nil {
 			t.Fatal(err)
 		}
-		obsv, err := b.run.AutoFeedback()
+		obsv, err := run.AutoFeedback()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -163,17 +163,11 @@ func (s *Spec) Normalize() error {
 	if sim.ContextualPolicy(s.Policy) && s.RewardModel != RewardLinear {
 		return fmt.Errorf("serve: policy %q needs per-round contexts; set reward_model %q", s.Policy, RewardLinear)
 	}
-	if scen.Combinatorial() {
-		if _, err := sim.ComboPolicyFactory(s.Policy, scen); err != nil {
-			return err
-		}
-		if s.M < 1 || s.M > s.K {
-			return fmt.Errorf("serve: strategy size m=%d outside [1,%d]", s.M, s.K)
-		}
-	} else {
-		if _, err := sim.SinglePolicyFactory(s.Policy, scen); err != nil {
-			return err
-		}
+	if _, err := sim.NewPolicySpec(s.Policy, scen); err != nil {
+		return err
+	}
+	if scen.Combinatorial() && (s.M < 1 || s.M > s.K) {
+		return fmt.Errorf("serve: strategy size m=%d outside [1,%d]", s.M, s.K)
 	}
 	found := false
 	for _, n := range graphs.GeneratorNames() {
@@ -217,38 +211,16 @@ func (s *Spec) Hash() string {
 	return hex.EncodeToString(sum[:8])
 }
 
-// runner is the slice of sim.SingleRun/sim.ComboRun the instance loop
-// drives: the decoupled decide/feedback API introduced for this service.
-type runner interface {
-	Decide() (t, action int, err error)
-	Pending() (t, action int, ok bool)
-	PendingClosure() ([]int, error)
-	PendingContext() (*bandit.RoundContext, error)
-	ApplyFeedback(values []float64) error
-	AutoFeedback() ([]bandit.Observation, error)
-	Round() int
-	Done() bool
-	Series() *sim.Series
-	Regret() (cumPseudo, cumRealized float64)
-}
-
-// built is the realised form of a spec: environment, optional strategy
-// set, and a positioned runner at round zero. Exactly one of env and
-// cenv is non-nil, per the spec's reward model.
-type built struct {
-	scen bandit.Scenario
-	env  *bandit.Env
-	cenv *bandit.ContextualEnv // non-nil iff the spec is contextual
-	set  *strategy.Set         // nil for single-play
-	run  runner
-}
-
-// build realises a normalized spec. Every call with the same spec
-// produces a runner whose decision sequence under the same feedback is
-// bit-identical — this is the function both serving and replay
-// verification rest on.
-func (s *Spec) build() (*built, error) {
+// build realises a normalized spec as a runner positioned at round zero.
+// Every call with the same spec produces a runner whose decision sequence
+// under the same feedback is bit-identical — this is the function both
+// serving and replay verification rest on.
+func (s *Spec) build() (*sim.Run, error) {
 	scen, err := bandit.ParseScenario(s.Scenario)
+	if err != nil {
+		return nil, err
+	}
+	pol, err := sim.NewPolicySpec(s.Policy, scen)
 	if err != nil {
 		return nil, err
 	}
@@ -262,103 +234,25 @@ func (s *Spec) build() (*built, error) {
 		Checkpoints:     sim.DefaultCheckpoints(s.Horizon, s.Points),
 		AnnounceHorizon: true,
 	}
-	b := &built{scen: scen}
+	var env bandit.RewardModel
 	if s.Contextual() {
 		// Split(2) plays the same role it does for Bernoulli arm means —
 		// the hidden reward parameters — and the per-round feature stream
 		// gets the next untaken split, Split(5).
 		theta := bandit.RandomTheta(r.Split(2), s.D)
-		cenv, err := bandit.NewContextualEnv(g, s.K, theta, r.Split(5).Counter())
-		if err != nil {
-			return nil, err
-		}
-		b.cenv = cenv
+		env, err = bandit.NewContextualEnv(g, s.K, theta, r.Split(5).Counter())
 	} else {
-		env, err := bandit.NewEnv(g, armdist.RandomBernoulliArms(s.K, r.Split(2)))
-		if err != nil {
-			return nil, err
-		}
-		b.env = env
-	}
-	if scen.Combinatorial() {
-		set, err := strategy.TopM(s.K, s.M, g)
-		if err != nil {
-			return nil, err
-		}
-		factory, err := sim.ComboPolicyFactory(s.Policy, scen)
-		if err != nil {
-			return nil, err
-		}
-		var run *sim.ComboRun
-		if b.cenv != nil {
-			run, err = sim.NewContextualComboRun(b.cenv, set, scen, factory(r.Split(3)), cfg, r.Split(4), nil)
-		} else {
-			run, err = sim.NewComboRun(b.env, set, scen, factory(r.Split(3)), cfg, r.Split(4), nil)
-		}
-		if err != nil {
-			return nil, err
-		}
-		b.set, b.run = set, run
-		return b, nil
-	}
-	factory, err := sim.SinglePolicyFactory(s.Policy, scen)
-	if err != nil {
-		return nil, err
-	}
-	var run *sim.SingleRun
-	if b.cenv != nil {
-		run, err = sim.NewContextualSingleRun(b.cenv, scen, factory(r.Split(3)), cfg, r.Split(4))
-	} else {
-		run, err = sim.NewSingleRun(b.env, scen, factory(r.Split(3)), cfg, r.Split(4))
+		env, err = bandit.NewEnv(g, armdist.RandomBernoulliArms(s.K, r.Split(2)))
 	}
 	if err != nil {
 		return nil, err
 	}
-	b.run = run
-	return b, nil
-}
-
-// selfPos returns the position of arm i within its closed neighbourhood,
-// whichever environment flavour the instance runs.
-func (b *built) selfPos(i int) int {
-	if b.cenv != nil {
-		return b.cenv.SelfPos(i)
+	if !scen.Combinatorial() {
+		return sim.NewSingleRun(env, scen, pol.Single(r.Split(3)), cfg, r.Split(4))
 	}
-	return b.env.SelfPos(i)
-}
-
-// arms returns the arm set a decision plays: the arm itself for
-// single-play scenarios, the strategy's arms for combinatorial ones.
-func (b *built) arms(action int) []int {
-	if b.set != nil {
-		return b.set.Arms(action)
+	set, err := strategy.TopM(s.K, s.M, g)
+	if err != nil {
+		return nil, err
 	}
-	return []int{action}
-}
-
-// realized computes the reward the chosen action collects from the
-// revealed closure values, per the scenario's semantics (matching the
-// runner's own regret accounting).
-func (b *built) realized(action int, closure []int, values []float64) float64 {
-	switch b.scen {
-	case bandit.SSR, bandit.CSR:
-		var sum float64
-		for _, v := range values {
-			sum += v
-		}
-		return sum
-	case bandit.SSO:
-		return values[b.selfPos(action)]
-	default: // CSO: sum the played arms' own rewards out of the closure
-		var sum float64
-		arms := b.set.Arms(action)
-		j := 0
-		for i, a := range closure {
-			if j < len(arms) && arms[j] == a {
-				sum += values[i]
-				j++
-			}
-		}
-		return sum
-	}
+	return sim.NewComboRun(env, set, scen, pol.Combo(r.Split(3)), cfg, r.Split(4), nil)
 }

@@ -69,11 +69,11 @@ func TestComboCacheCurvesIdentical(t *testing.T) {
 		{bandit.CSR, func() bandit.ComboPolicy { return core.NewDFLCSR() }},
 		{bandit.CSO, func() bandit.ComboPolicy { return policy.NewCUCB(policy.Direct) }},
 	} {
-		fresh, err := RunCombo(env, set, tc.scen, tc.mk(), cfg, rng.New(5))
+		fresh, err := play(NewComboRun(env, set, tc.scen, tc.mk(), cfg, rng.New(5), nil))
 		if err != nil {
 			t.Fatal(err)
 		}
-		cached, err := RunComboCached(env, set, tc.scen, tc.mk(), cfg, rng.New(5), cache)
+		cached, err := play(NewComboRun(env, set, tc.scen, tc.mk(), cfg, rng.New(5), cache))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +97,7 @@ func TestReplicateComboMatchesManualLoop(t *testing.T) {
 	for rep := 0; rep < opts.Reps; rep++ {
 		stream := rng.New(opts.Seed).Split(uint64(rep) + 1)
 		stream.Split(0) // factory stream, unused by DFL-CSO
-		s, err := RunCombo(env, set, bandit.CSO, core.NewDFLCSO(), cfg, stream.Split(1))
+		s, err := play(NewComboRun(env, set, bandit.CSO, core.NewDFLCSO(), cfg, stream.Split(1), nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,7 +119,7 @@ func TestComboCacheMismatchRejected(t *testing.T) {
 	env, set := comboFixture(t)
 	otherEnv, otherSet := comboFixture(t)
 	cache := NewComboCache(otherEnv, otherSet)
-	if _, err := RunComboCached(env, set, bandit.CSO, core.NewDFLCSO(), Config{Horizon: 10}, rng.New(1), cache); err == nil {
+	if _, err := play(NewComboRun(env, set, bandit.CSO, core.NewDFLCSO(), Config{Horizon: 10}, rng.New(1), cache)); err == nil {
 		t.Fatal("mismatched cache accepted")
 	}
 }
@@ -129,10 +129,10 @@ func TestComboCacheStrategyGraphSharedInstance(t *testing.T) {
 	cache := NewComboCache(env, set)
 	cfg := Config{Horizon: 20}
 	polA, polB := core.NewDFLCSO(), core.NewDFLCSO()
-	if _, err := RunComboCached(env, set, bandit.CSO, polA, cfg, rng.New(1), cache); err != nil {
+	if _, err := play(NewComboRun(env, set, bandit.CSO, polA, cfg, rng.New(1), cache)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunComboCached(env, set, bandit.CSO, polB, cfg, rng.New(2), cache); err != nil {
+	if _, err := play(NewComboRun(env, set, bandit.CSO, polB, cfg, rng.New(2), cache)); err != nil {
 		t.Fatal(err)
 	}
 	if polA.StrategyGraph() != polB.StrategyGraph() || polA.StrategyGraph() != cache.StrategyGraph() {
@@ -141,11 +141,11 @@ func TestComboCacheStrategyGraphSharedInstance(t *testing.T) {
 }
 
 // TestSteppersMatchRunFunctions: driving a replication round by round
-// through the public steppers is exactly RunSingle/RunCombo.
+// with Step is exactly Run.Run.
 func TestSteppersMatchRunFunctions(t *testing.T) {
 	env := testEnv(t, 12, 0.35, 21)
 	cfg := Config{Horizon: 250, AnnounceHorizon: true}
-	want, err := RunSingle(env, bandit.SSO, core.NewDFLSSO(), cfg, rng.New(9))
+	want, err := play(NewSingleRun(env, bandit.SSO, core.NewDFLSSO(), cfg, rng.New(9)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestSteppersMatchRunFunctions(t *testing.T) {
 	sameSeries(t, "single stepper", want, run.Series())
 
 	cEnv, cSet := comboFixture(t)
-	wantC, err := RunCombo(cEnv, cSet, bandit.CSR, core.NewDFLCSR(), cfg, rng.New(10))
+	wantC, err := play(NewComboRun(cEnv, cSet, bandit.CSR, core.NewDFLCSR(), cfg, rng.New(10), nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestCounterSamplingPolicyInvariant(t *testing.T) {
 				seen[cell{e.T, o.Arm}] = o.Value
 			}
 		})
-		if _, err := RunSingle(env, bandit.SSO, pol, c, rng.New(55)); err != nil {
+		if _, err := play(NewSingleRun(env, bandit.SSO, pol, c, rng.New(55))); err != nil {
 			t.Fatal(err)
 		}
 		return seen

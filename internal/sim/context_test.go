@@ -60,7 +60,7 @@ func TestContextualGoldenRegretSingle(t *testing.T) {
 		{"ctx-thompson", policy.NewCtxThompson(0.5, rng.New(32)), []float64{6.16365648772, 8.56313923755, 10.2845387278}},
 	}
 	for _, tc := range cases {
-		s, err := RunContextualSingle(cenv, bandit.SSO, tc.pol, cfg, rng.New(33))
+		s, err := play(NewSingleRun(cenv, bandit.SSO, tc.pol, cfg, rng.New(33)))
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -80,10 +80,10 @@ func TestContextualGoldenRegretCombo(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{Horizon: 600, Checkpoints: []int{150, 300, 600}, AnnounceHorizon: true}
-	cache := NewContextualComboCache(cenv, set)
+	cache := NewComboCache(cenv, set)
 	run := func(name string, pol bandit.ComboPolicy) *Series {
 		t.Helper()
-		s, err := RunContextualCombo(cenv, set, bandit.CSO, pol, cfg, rng.New(43), cache)
+		s, err := play(NewComboRun(cenv, set, bandit.CSO, pol, cfg, rng.New(43), cache))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -33,7 +33,7 @@ func TestSingleDecideFeedbackEquivalence(t *testing.T) {
 	}
 	for name, factory := range factories {
 		for _, scen := range []bandit.Scenario{bandit.SSO, bandit.SSR} {
-			newRun := func() *SingleRun {
+			newRun := func() *Run {
 				r := rng.New(99)
 				run, err := NewSingleRun(env, scen, factory(r.Split(3)), cfg, r.Split(4))
 				if err != nil {
@@ -110,7 +110,7 @@ func TestComboDecideFeedbackEquivalence(t *testing.T) {
 	}
 	for name, factory := range factories {
 		for _, scen := range []bandit.Scenario{bandit.CSO, bandit.CSR} {
-			newRun := func() *ComboRun {
+			newRun := func() *Run {
 				r := rng.New(123)
 				run, err := NewComboRun(env, set, scen, factory(r.Split(3)), cfg, r.Split(4), nil)
 				if err != nil {

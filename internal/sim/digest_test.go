@@ -45,75 +45,60 @@ func digestSeries(h hash.Hash, s *Series) string {
 	return hex.EncodeToString(h.Sum(nil)[:8])
 }
 
-// digestStepper is the stepping surface the digest drives.
-type digestStepper interface {
-	Decide() (t, action int, err error)
-	AutoFeedback() ([]bandit.Observation, error)
-	ApplyFeedback(values []float64) error
-	Done() bool
-	Run() (*Series, error)
-	Series() *Series
-}
-
 func TestRunnerDigests(t *testing.T) {
 	const k, m = 10, 2
 	fixed := testEnv(t, k, 0.3, 61)
 	ctx := ctxTestEnv(t, k, 3, 0.3, 62)
-	fixedSet, err := strategy.TopM(k, m, fixed.Graph())
-	if err != nil {
-		t.Fatal(err)
+	sets := map[bandit.RewardModel]*strategy.Set{}
+	caches := map[bandit.RewardModel]*ComboCache{}
+	for _, env := range []bandit.RewardModel{fixed, ctx} {
+		set, err := strategy.TopM(k, m, env.Graph())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sets[env], caches[env] = set, NewComboCache(env, set)
 	}
-	ctxSet, err := strategy.TopM(k, m, ctx.Graph())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fixedCache, ctxCache := NewComboCache(fixed, fixedSet), NewContextualComboCache(ctx, ctxSet)
 	cases := []struct {
-		contextual bool
-		scen       bandit.Scenario
-		policy     string
-		want       string
+		env    bandit.RewardModel
+		scen   bandit.Scenario
+		policy string
+		want   string
 	}{
-		{false, bandit.SSO, "dfl", "ba6fe919165a6d9d"},
-		{false, bandit.SSO, "random", "3f8036570f61bec0"},
-		{false, bandit.SSR, "dfl", "cedaa09756f744d2"},
-		{false, bandit.SSR, "random", "8db1b755f7d93ec1"},
-		{false, bandit.CSO, "dfl", "dbc4273e0095f77d"},
-		{false, bandit.CSO, "random", "f2b279a493a36e17"},
-		{false, bandit.CSR, "dfl", "5a6a180b89d1067b"},
-		{false, bandit.CSR, "random", "3df6f82bff9380ea"},
-		{true, bandit.SSO, "linucb", "2a9ef3cece35ccac"},
-		{true, bandit.SSO, "random", "4e9181c0c4717d61"},
-		{true, bandit.SSR, "linucb", "6558e92249eca002"},
-		{true, bandit.SSR, "random", "30d40c0ed417fe32"},
-		{true, bandit.CSO, "linucb", "7bb7b5ce7b688cb7"},
-		{true, bandit.CSO, "random", "770e8e78ae7510bb"},
-		{true, bandit.CSR, "linucb", "b9a6cb199cec3f9c"},
-		{true, bandit.CSR, "random", "23ac98c7af42b11f"},
+		{fixed, bandit.SSO, "dfl", "ba6fe919165a6d9d"},
+		{fixed, bandit.SSO, "random", "3f8036570f61bec0"},
+		{fixed, bandit.SSR, "dfl", "cedaa09756f744d2"},
+		{fixed, bandit.SSR, "random", "8db1b755f7d93ec1"},
+		{fixed, bandit.CSO, "dfl", "dbc4273e0095f77d"},
+		{fixed, bandit.CSO, "random", "f2b279a493a36e17"},
+		{fixed, bandit.CSR, "dfl", "5a6a180b89d1067b"},
+		{fixed, bandit.CSR, "random", "3df6f82bff9380ea"},
+		{ctx, bandit.SSO, "linucb", "2a9ef3cece35ccac"},
+		{ctx, bandit.SSO, "random", "4e9181c0c4717d61"},
+		{ctx, bandit.SSR, "linucb", "6558e92249eca002"},
+		{ctx, bandit.SSR, "random", "30d40c0ed417fe32"},
+		{ctx, bandit.CSO, "linucb", "7bb7b5ce7b688cb7"},
+		{ctx, bandit.CSO, "random", "770e8e78ae7510bb"},
+		{ctx, bandit.CSR, "linucb", "b9a6cb199cec3f9c"},
+		{ctx, bandit.CSR, "random", "23ac98c7af42b11f"},
 	}
 	for _, tc := range cases {
 		name := tc.scen.String() + "/" + tc.policy
-		if tc.contextual {
+		if tc.env.D() > 0 {
 			name = "ctx/" + name
 		}
 		spec, err := NewPolicySpec(tc.policy, tc.scen)
 		if err != nil {
 			t.Fatal(err)
 		}
-		newRun := func(obs trace.Observer) digestStepper {
+		newRun := func(obs trace.Observer) *Run {
 			cfg := Config{Horizon: 300, AnnounceHorizon: true, Observer: obs}
 			r := rng.New(77)
-			var run digestStepper
+			var run *Run
 			var err error
-			switch {
-			case tc.scen.Combinatorial() && tc.contextual:
-				run, err = NewContextualComboRun(ctx, ctxSet, tc.scen, spec.Combo(r.Split(3)), cfg, r.Split(4), ctxCache)
-			case tc.scen.Combinatorial():
-				run, err = NewComboRun(fixed, fixedSet, tc.scen, spec.Combo(r.Split(3)), cfg, r.Split(4), fixedCache)
-			case tc.contextual:
-				run, err = NewContextualSingleRun(ctx, tc.scen, spec.Single(r.Split(3)), cfg, r.Split(4))
-			default:
-				run, err = NewSingleRun(fixed, tc.scen, spec.Single(r.Split(3)), cfg, r.Split(4))
+			if tc.scen.Combinatorial() {
+				run, err = NewComboRun(tc.env, sets[tc.env], tc.scen, spec.Combo(r.Split(3)), cfg, r.Split(4), caches[tc.env])
+			} else {
+				run, err = NewSingleRun(tc.env, tc.scen, spec.Single(r.Split(3)), cfg, r.Split(4))
 			}
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)

@@ -8,15 +8,20 @@
 //
 // The package is three layers, each built on the one below:
 //
-//   - Runners (runner.go): RunSingle/RunCombo play one replication of one
-//     scenario; SingleRun/ComboRun expose the same loop as a
-//     round-by-round stepper. Rewards are drawn lazily — only the revealed
-//     closed neighbourhood or closure is sampled, via the counter-based
-//     streams of package rng — so a round costs O(observed), not O(K).
+//   - Runner (runner.go): Run steps one replication of any scenario round
+//     by round (NewSingleRun/NewComboRun, one constructor per policy
+//     interface). It reaches fixed and contextual environments alike
+//     through the bandit.RewardModel seam, plays single arms as implicit
+//     singletons over their closed neighbourhoods, and splits scenarios
+//     only by payoff: the played arms' own rewards (SSO, CSO) or the whole
+//     revealed closure's (SSR, CSR). Rewards are drawn lazily — only the
+//     revealed closed neighbourhood or closure is sampled, via the
+//     counter-based streams of package rng — so a round costs
+//     O(observed), not O(K).
 //   - Replication (replicate.go): ReplicateSingle/ReplicateCombo run many
 //     replications of one cell on a bounded worker pool and fold the
 //     regret curves into an Aggregate. ComboCache shares per-cell
-//     precomputation (arm means, scenario optima, the strategy relation
+//     precomputation (the optima under fixed means, the strategy relation
 //     graph) read-only across replications.
 //   - Sweeps (sweep.go): a Sweep is the Cartesian product of environment,
 //     policy, and configuration axes. Run executes the whole grid on one

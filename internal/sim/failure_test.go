@@ -44,7 +44,7 @@ func TestAllEqualMeansZeroPseudoRegret(t *testing.T) {
 	for _, pol := range []bandit.SinglePolicy{
 		core.NewDFLSSO(), policy.NewMOSS(), policy.NewUCBN(),
 	} {
-		s, err := RunSingle(env, bandit.SSO, pol, Config{Horizon: 300}, rng.New(32))
+		s, err := play(NewSingleRun(env, bandit.SSO, pol, Config{Horizon: 300}, rng.New(32)))
 		if err != nil {
 			t.Fatalf("%s: %v", pol.Name(), err)
 		}
@@ -57,7 +57,7 @@ func TestAllEqualMeansZeroPseudoRegret(t *testing.T) {
 	// a regular graph (u_i sums over |N̄_i| terms); use a cycle.
 	cyc := graphs.Cycle(10)
 	cycEnv := envFromMeans(t, cyc, means)
-	s, err := RunSingle(cycEnv, bandit.SSR, core.NewDFLSSR(), Config{Horizon: 300}, rng.New(32))
+	s, err := play(NewSingleRun(cycEnv, bandit.SSR, core.NewDFLSSR(), Config{Horizon: 300}, rng.New(32)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestSingletonStrategyFamily(t *testing.T) {
 		if pol.Name() == "DFL-CSR" {
 			scen = bandit.CSR
 		}
-		s, err := RunCombo(env, set, scen, pol, Config{Horizon: 100}, rng.New(34))
+		s, err := play(NewComboRun(env, set, scen, pol, Config{Horizon: 100}, rng.New(34), nil))
 		if err != nil {
 			t.Fatalf("%s: %v", pol.Name(), err)
 		}
@@ -113,7 +113,7 @@ func TestSingletonStrategyFamily(t *testing.T) {
 
 func TestSingleArmEnvironment(t *testing.T) {
 	env := envFromMeans(t, nil, []float64{0.7})
-	s, err := RunSingle(env, bandit.SSO, core.NewDFLSSO(), Config{Horizon: 50}, rng.New(35))
+	s, err := play(NewSingleRun(env, bandit.SSO, core.NewDFLSSO(), Config{Horizon: 50}, rng.New(35)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,14 +128,14 @@ func TestDeterministicRegression(t *testing.T) {
 	// all of which silently invalidate recorded experiment outputs.
 	env := envFromMeans(t, graphs.Gnp(12, 0.4, rng.New(77)),
 		[]float64{0.62, 0.21, 0.48, 0.91, 0.05, 0.33, 0.77, 0.15, 0.58, 0.44, 0.29, 0.68})
-	s, err := RunSingle(env, bandit.SSO, core.NewDFLSSO(),
-		Config{Horizon: 500, Checkpoints: []int{500}, AnnounceHorizon: true}, rng.New(78))
+	s, err := play(NewSingleRun(env, bandit.SSO, core.NewDFLSSO(),
+		Config{Horizon: 500, Checkpoints: []int{500}, AnnounceHorizon: true}, rng.New(78)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := s.CumPseudo[0]
-	reRun, err := RunSingle(env, bandit.SSO, core.NewDFLSSO(),
-		Config{Horizon: 500, Checkpoints: []int{500}, AnnounceHorizon: true}, rng.New(78))
+	reRun, err := play(NewSingleRun(env, bandit.SSO, core.NewDFLSSO(),
+		Config{Horizon: 500, Checkpoints: []int{500}, AnnounceHorizon: true}, rng.New(78)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestExtremeMeansZeroAndOne(t *testing.T) {
 	// Deterministic arms at the support boundary: no NaN from log(0)-type
 	// paths, and the certain arm wins immediately.
 	env := envFromMeans(t, graphs.Complete(3), []float64{0, 1, 0.5})
-	s, err := RunSingle(env, bandit.SSO, core.NewDFLSSO(), Config{Horizon: 200}, rng.New(36))
+	s, err := play(NewSingleRun(env, bandit.SSO, core.NewDFLSSO(), Config{Horizon: 200}, rng.New(36)))
 	if err != nil {
 		t.Fatal(err)
 	}

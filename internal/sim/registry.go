@@ -40,18 +40,17 @@ func ContextualPolicy(name string) bool {
 // resolves a policy name against the scenario into a complete policy axis
 // point — the single-play or combinatorial factory as the scenario
 // demands, plus the contextual-requirement flag the sweep grid validates.
-// It subsumes the SinglePolicyFactory/ComboPolicyFactory pair.
 func NewPolicySpec(name string, scen bandit.Scenario) (PolicySpec, error) {
 	spec := PolicySpec{Name: name, Contextual: ContextualPolicy(name)}
 	if scen.Combinatorial() {
-		combo, err := ComboPolicyFactory(name, scen)
+		combo, err := comboPolicyFactory(name, scen)
 		if err != nil {
 			return PolicySpec{}, err
 		}
 		spec.Combo = combo
 		return spec, nil
 	}
-	single, err := SinglePolicyFactory(name, scen)
+	single, err := singlePolicyFactory(name, scen)
 	if err != nil {
 		return PolicySpec{}, err
 	}
@@ -59,10 +58,10 @@ func NewPolicySpec(name string, scen bandit.Scenario) (PolicySpec, error) {
 	return spec, nil
 }
 
-// SinglePolicyFactory maps a policy name to a single-play factory. "dfl"
+// singlePolicyFactory maps a policy name to a single-play factory. "dfl"
 // resolves to the scenario's own algorithm: DFL-SSO under side
 // observation, DFL-SSR under side reward.
-func SinglePolicyFactory(name string, scen bandit.Scenario) (SingleFactory, error) {
+func singlePolicyFactory(name string, scen bandit.Scenario) (SingleFactory, error) {
 	switch name {
 	case "dfl":
 		if scen == bandit.SSR {
@@ -99,9 +98,9 @@ func SinglePolicyFactory(name string, scen bandit.Scenario) (SingleFactory, erro
 	}
 }
 
-// ComboPolicyFactory maps a policy name to a combinatorial factory. "dfl"
+// comboPolicyFactory maps a policy name to a combinatorial factory. "dfl"
 // resolves to DFL-CSR under side reward and DFL-CSO otherwise.
-func ComboPolicyFactory(name string, scen bandit.Scenario) (ComboFactory, error) {
+func comboPolicyFactory(name string, scen bandit.Scenario) (ComboFactory, error) {
 	switch name {
 	case "dfl":
 		if scen == bandit.CSR {

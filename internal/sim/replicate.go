@@ -148,7 +148,7 @@ func ReplicateSingle(env *bandit.Env, scen bandit.Scenario, factory SingleFactor
 	run := func(rep int) (*Series, error) {
 		stream := rng.New(opts.Seed).Split(uint64(rep) + 1)
 		pol := factory(stream.Split(0))
-		return RunSingle(env, scen, pol, cfg, stream.Split(1))
+		return play(NewSingleRun(env, scen, pol, cfg, stream.Split(1)))
 	}
 	return replicate(run, opts)
 }
@@ -166,7 +166,7 @@ func ReplicateCombo(env *bandit.Env, set *strategy.Set, scen bandit.Scenario, fa
 	run := func(rep int) (*Series, error) {
 		stream := rng.New(opts.Seed).Split(uint64(rep) + 1)
 		pol := factory(stream.Split(0))
-		return RunComboCached(env, set, scen, pol, cfg, stream.Split(1), cache)
+		return play(NewComboRun(env, set, scen, pol, cfg, stream.Split(1), cache))
 	}
 	return replicate(run, opts)
 }

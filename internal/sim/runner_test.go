@@ -66,9 +66,9 @@ func TestDefaultCheckpoints(t *testing.T) {
 
 func TestRunSingleRejectsComboScenario(t *testing.T) {
 	env := testEnv(t, 5, 0.3, 1)
-	_, err := RunSingle(env, bandit.CSO, core.NewDFLSSO(), Config{Horizon: 10}, rng.New(2))
+	_, err := play(NewSingleRun(env, bandit.CSO, core.NewDFLSSO(), Config{Horizon: 10}, rng.New(2)))
 	if err == nil {
-		t.Fatal("combo scenario accepted by RunSingle")
+		t.Fatal("combo scenario accepted by NewSingleRun")
 	}
 }
 
@@ -78,8 +78,8 @@ func TestRunComboRejectsSingleScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunCombo(env, set, bandit.SSO, core.NewDFLCSO(), Config{Horizon: 10}, rng.New(2)); err == nil {
-		t.Fatal("single scenario accepted by RunCombo")
+	if _, err := play(NewComboRun(env, set, bandit.SSO, core.NewDFLCSO(), Config{Horizon: 10}, rng.New(2), nil)); err == nil {
+		t.Fatal("single scenario accepted by NewComboRun")
 	}
 }
 
@@ -89,7 +89,7 @@ func TestRunComboRejectsMismatchedSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunCombo(env, set, bandit.CSO, core.NewDFLCSO(), Config{Horizon: 10}, rng.New(2)); err == nil {
+	if _, err := play(NewComboRun(env, set, bandit.CSO, core.NewDFLCSO(), Config{Horizon: 10}, rng.New(2), nil)); err == nil {
 		t.Fatal("mismatched arm counts accepted")
 	}
 }
@@ -97,7 +97,7 @@ func TestRunComboRejectsMismatchedSet(t *testing.T) {
 func TestRunSingleSeriesShape(t *testing.T) {
 	env := testEnv(t, 10, 0.3, 3)
 	cfg := Config{Horizon: 500, Checkpoints: []int{100, 250, 500}, AnnounceHorizon: true}
-	s, err := RunSingle(env, bandit.SSO, core.NewDFLSSO(), cfg, rng.New(4))
+	s, err := play(NewSingleRun(env, bandit.SSO, core.NewDFLSSO(), cfg, rng.New(4)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,11 +125,11 @@ func TestRunSingleSeriesShape(t *testing.T) {
 func TestRunSingleDeterministic(t *testing.T) {
 	env := testEnv(t, 10, 0.3, 5)
 	cfg := Config{Horizon: 300}
-	a, err := RunSingle(env, bandit.SSO, core.NewDFLSSO(), cfg, rng.New(6))
+	a, err := play(NewSingleRun(env, bandit.SSO, core.NewDFLSSO(), cfg, rng.New(6)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunSingle(env, bandit.SSO, core.NewDFLSSO(), cfg, rng.New(6))
+	b, err := play(NewSingleRun(env, bandit.SSO, core.NewDFLSSO(), cfg, rng.New(6)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,8 +41,8 @@ type EnvSpec struct {
 	Env *bandit.Env
 	Set *strategy.Set
 	// CtxBuild constructs a contextual (linear-reward) environment from the
-	// axis' private stream; cells on this axis run through the contextual
-	// runners and pass per-round contexts to their policies.
+	// axis' private stream; cells on this axis hand each round's context
+	// to their policies.
 	CtxBuild func(r *rng.RNG) (*bandit.ContextualEnv, *strategy.Set, error)
 	// CtxEnv supplies a prebuilt contextual environment instead of CtxBuild.
 	CtxEnv *bandit.ContextualEnv
@@ -353,12 +353,11 @@ func (s *Sweep) CellMetas() ([]CellResult, error) {
 }
 
 // builtEnv is one environment axis after construction, plus — for
-// combinatorial axes — the per-cell precompute cache (means, optima,
-// lazily built strategy relation graph) shared read-only by every cell and
+// combinatorial axes — the per-cell precompute cache (optima, lazily
+// built strategy relation graph) shared read-only by every cell and
 // replication using the axis.
 type builtEnv struct {
-	env   *bandit.Env
-	cenv  *bandit.ContextualEnv
+	env   bandit.RewardModel
 	set   *strategy.Set
 	cache *ComboCache
 }
@@ -374,43 +373,43 @@ func (s *Sweep) buildEnvs(need func(envIdx int) bool) ([]builtEnv, error) {
 		if need != nil && !need(i) {
 			continue
 		}
-		env, cenv, set := e.Env, e.CtxEnv, e.Set
-		if e.Build != nil {
-			var err error
-			env, set, err = e.Build(envRoot.Split(uint64(i) + 1))
-			if err != nil {
-				return nil, fmt.Errorf("sim: building environment %q: %w", e.Name, err)
-			}
-		}
-		if e.CtxBuild != nil {
-			if env != nil {
-				return nil, fmt.Errorf("sim: environment axis %q sets both contextual and fixed-mean sources", e.Name)
-			}
-			var err error
-			cenv, set, err = e.CtxBuild(envRoot.Split(uint64(i) + 1))
-			if err != nil {
-				return nil, fmt.Errorf("sim: building environment %q: %w", e.Name, err)
-			}
-		}
-		if env == nil && cenv == nil {
-			return nil, fmt.Errorf("sim: environment axis %q has no Build, Env, CtxBuild, or CtxEnv", e.Name)
-		}
-		if env != nil && cenv != nil {
-			return nil, fmt.Errorf("sim: environment axis %q sets both contextual and fixed-mean sources", e.Name)
+		env, set, err := e.build(envRoot.Split(uint64(i) + 1))
+		if err != nil {
+			return nil, err
 		}
 		if e.Scenario.Combinatorial() && set == nil {
 			return nil, fmt.Errorf("sim: environment axis %q is combinatorial but has no strategy set", e.Name)
 		}
-		built[i] = builtEnv{env: env, cenv: cenv, set: set}
+		built[i] = builtEnv{env: env, set: set}
 		if e.Scenario.Combinatorial() {
-			if cenv != nil {
-				built[i].cache = NewContextualComboCache(cenv, set)
-			} else {
-				built[i].cache = NewComboCache(env, set)
-			}
+			built[i].cache = NewComboCache(env, set)
 		}
 	}
 	return built, nil
+}
+
+// build resolves the axis' one environment source — Build, Env, CtxBuild,
+// or CtxEnv — into a reward model and its strategy set, drawing from r.
+func (e *EnvSpec) build(r *rng.RNG) (bandit.RewardModel, *strategy.Set, error) {
+	env, cenv, set := e.Env, e.CtxEnv, e.Set
+	var err error
+	if e.Build != nil {
+		env, set, err = e.Build(r)
+	}
+	if err == nil && e.CtxBuild != nil && env == nil {
+		cenv, set, err = e.CtxBuild(r)
+	}
+	switch {
+	case err != nil:
+		return nil, nil, fmt.Errorf("sim: building environment %q: %w", e.Name, err)
+	case env != nil && (cenv != nil || e.CtxBuild != nil):
+		return nil, nil, fmt.Errorf("sim: environment axis %q sets both contextual and fixed-mean sources", e.Name)
+	case env != nil:
+		return env, set, nil
+	case cenv != nil:
+		return cenv, set, nil
+	}
+	return nil, nil, fmt.Errorf("sim: environment axis %q has no Build, Env, CtxBuild, or CtxEnv", e.Name)
 }
 
 // compileCell turns a grid cell into the executor's view of it. The
@@ -419,39 +418,17 @@ func (s *Sweep) buildEnvs(need func(envIdx int) bool) ([]builtEnv, error) {
 // full grid, alone, or inside any shard subset.
 func (s *Sweep) compileCell(gc gridCell, be builtEnv) execCell {
 	idx := gc.meta.Index
-	repStream := func(rep int) *rng.RNG {
-		if s.CommonStreams {
-			return rng.New(s.Seed).Split(uint64(rep) + 1)
+	scen, cfg, pol := gc.meta.Scenario, gc.cfg, gc.pol
+	run := func(rep int) (*Series, error) {
+		stream := rng.New(s.Seed)
+		if !s.CommonStreams {
+			stream = stream.Split(uint64(idx) + 1)
 		}
-		return rng.New(s.Seed).Split(uint64(idx) + 1).Split(uint64(rep) + 1)
-	}
-	var run func(rep int) (*Series, error)
-	env, cenv, set, scen, cfg, cache := be.env, be.cenv, be.set, gc.meta.Scenario, gc.cfg, be.cache
-	switch {
-	case scen.Combinatorial() && cenv != nil:
-		factory := gc.pol.Combo
-		run = func(rep int) (*Series, error) {
-			stream := repStream(rep)
-			return RunContextualCombo(cenv, set, scen, factory(stream.Split(0)), cfg, stream.Split(1), cache)
+		stream = stream.Split(uint64(rep) + 1)
+		if scen.Combinatorial() {
+			return play(NewComboRun(be.env, be.set, scen, pol.Combo(stream.Split(0)), cfg, stream.Split(1), be.cache))
 		}
-	case scen.Combinatorial():
-		factory := gc.pol.Combo
-		run = func(rep int) (*Series, error) {
-			stream := repStream(rep)
-			return RunComboCached(env, set, scen, factory(stream.Split(0)), cfg, stream.Split(1), cache)
-		}
-	case cenv != nil:
-		factory := gc.pol.Single
-		run = func(rep int) (*Series, error) {
-			stream := repStream(rep)
-			return RunContextualSingle(cenv, scen, factory(stream.Split(0)), cfg, stream.Split(1))
-		}
-	default:
-		factory := gc.pol.Single
-		run = func(rep int) (*Series, error) {
-			stream := repStream(rep)
-			return RunSingle(env, scen, factory(stream.Split(0)), cfg, stream.Split(1))
-		}
+		return play(NewSingleRun(be.env, scen, pol.Single(stream.Split(0)), cfg, stream.Split(1)))
 	}
 	return execCell{meta: gc.meta, reps: s.Reps, run: run}
 }

@@ -117,7 +117,7 @@ func TestSweepBoundedReorderWindow(t *testing.T) {
 	}
 }
 
-// invalidArmPolicy trips RunSingle's arm-range check on its first round.
+// invalidArmPolicy trips the runner's action-range check on its first round.
 type invalidArmPolicy struct{}
 
 func (invalidArmPolicy) Name() string                          { return "invalid" }

@@ -25,7 +25,7 @@ func TestRunnerEmitsTraceEvents(t *testing.T) {
 	env := testEnv(t, 8, 0.4, 21)
 	rec := &trace.Recorder{}
 	cfg := Config{Horizon: 100, Observer: rec}
-	s, err := RunSingle(env, bandit.SSO, core.NewDFLSSO(), cfg, rng.New(22))
+	s, err := play(NewSingleRun(env, bandit.SSO, core.NewDFLSSO(), cfg, rng.New(22)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestComboRunnerEmitsTraceEvents(t *testing.T) {
 	set := mustTopM(t, 6, 2, env)
 	rec := &trace.Recorder{Capacity: 10}
 	cfg := Config{Horizon: 50, Observer: rec}
-	if _, err := RunCombo(env, set, bandit.CSO, core.NewDFLCSO(), cfg, rng.New(24)); err != nil {
+	if _, err := play(NewComboRun(env, set, bandit.CSO, core.NewDFLCSO(), cfg, rng.New(24), nil)); err != nil {
 		t.Fatal(err)
 	}
 	if rec.Total() != 50 || len(rec.Events()) != 10 {

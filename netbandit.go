@@ -75,11 +75,12 @@ type (
 	SingleFactory = sim.SingleFactory
 	// ComboFactory builds a fresh combinatorial policy per replication.
 	ComboFactory = sim.ComboFactory
-	// SingleRun steps one single-play replication round by round.
-	SingleRun = sim.SingleRun
-	// ComboRun steps one combinatorial replication round by round.
-	ComboRun = sim.ComboRun
-	// ComboCache shares per-cell precomputation (means, optima, strategy
+	// Run steps one replication of any scenario round by round.
+	Run = sim.Run
+	// RewardModel is the environment seam a Run plays through; *Env and
+	// *ContextualEnv implement it.
+	RewardModel = bandit.RewardModel
+	// ComboCache shares per-cell precomputation (optima, strategy
 	// relation graph) read-only across replications.
 	ComboCache = sim.ComboCache
 	// StrategyGraphCache lazily builds one shared SG(F, L) per cell.
@@ -167,8 +168,7 @@ func PolicyNames() []string { return sim.PolicyNames() }
 // shares: it resolves a name against the scenario into a complete sweep
 // policy axis point — single-play or combinatorial factory as the
 // scenario demands, plus the contextual-requirement flag the sweep grid
-// validates. It subsumes SinglePolicyFactory and ComboPolicyFactory,
-// which remain as thin views of the same registry.
+// validates.
 func NewPolicySpec(name string, scen Scenario) (PolicySpec, error) {
 	return sim.NewPolicySpec(name, scen)
 }
@@ -177,20 +177,6 @@ func NewPolicySpec(name string, scen Scenario) (PolicySpec, error) {
 // per-round feature contexts (a contextual environment axis, or a
 // linear-reward instance spec).
 func ContextualPolicy(name string) bool { return sim.ContextualPolicy(name) }
-
-// SinglePolicyFactory resolves a registry name to a single-play policy
-// factory for the given scenario. Prefer NewPolicySpec, which also
-// carries the contextual-requirement flag.
-func SinglePolicyFactory(name string, scen Scenario) (SingleFactory, error) {
-	return sim.SinglePolicyFactory(name, scen)
-}
-
-// ComboPolicyFactory resolves a registry name to a combinatorial policy
-// factory for the given scenario. Prefer NewPolicySpec, which also
-// carries the contextual-requirement flag.
-func ComboPolicyFactory(name string, scen Scenario) (ComboFactory, error) {
-	return sim.ComboPolicyFactory(name, scen)
-}
 
 // AggregateSeries folds one replication's series into a fresh
 // one-replication Aggregate whose State round-trips bit-identically.
@@ -562,39 +548,24 @@ func NewOSMD(eta float64, r *RNG) ComboPolicy { return policy.NewOSMD(eta, r) }
 
 // Simulation entry points (package sim).
 
-// RunSingle plays one replication of a single-play scenario.
-func RunSingle(env *Env, scen Scenario, pol SinglePolicy, cfg Config, r *RNG) (*Series, error) {
-	return sim.RunSingle(env, scen, pol, cfg, r)
-}
-
-// RunCombo plays one replication of a combinatorial scenario.
-func RunCombo(env *Env, set *StrategySet, scen Scenario, pol ComboPolicy, cfg Config, r *RNG) (*Series, error) {
-	return sim.RunCombo(env, set, scen, pol, cfg, r)
-}
-
-// RunComboCached is RunCombo against a shared per-cell precompute cache;
-// the curves are identical, the per-replication setup is O(1).
-func RunComboCached(env *Env, set *StrategySet, scen Scenario, pol ComboPolicy, cfg Config, r *RNG, cache *ComboCache) (*Series, error) {
-	return sim.RunComboCached(env, set, scen, pol, cfg, r, cache)
-}
-
-// NewComboCache precomputes everything replications of one experiment cell
-// share: arm means, scenario optima, and the lazily built strategy
-// relation graph.
-func NewComboCache(env *Env, set *StrategySet) *ComboCache {
-	return sim.NewComboCache(env, set)
-}
-
-// NewSingleRun returns a round-by-round stepper for a single-play
-// replication (RunSingle is NewSingleRun followed by Run).
-func NewSingleRun(env *Env, scen Scenario, pol SinglePolicy, cfg Config, r *RNG) (*SingleRun, error) {
+// NewSingleRun returns a round-by-round stepper for a single-play (SSO or
+// SSR) replication over a fixed or contextual environment; Run plays it
+// to the horizon.
+func NewSingleRun(env RewardModel, scen Scenario, pol SinglePolicy, cfg Config, r *RNG) (*Run, error) {
 	return sim.NewSingleRun(env, scen, pol, cfg, r)
 }
 
-// NewComboRun returns a round-by-round stepper for a combinatorial
-// replication; cache may be nil.
-func NewComboRun(env *Env, set *StrategySet, scen Scenario, pol ComboPolicy, cfg Config, r *RNG, cache *ComboCache) (*ComboRun, error) {
+// NewComboRun returns a round-by-round stepper for a combinatorial (CSO
+// or CSR) replication over the strategy set; cache may be nil.
+func NewComboRun(env RewardModel, set *StrategySet, scen Scenario, pol ComboPolicy, cfg Config, r *RNG, cache *ComboCache) (*Run, error) {
 	return sim.NewComboRun(env, set, scen, pol, cfg, r, cache)
+}
+
+// NewComboCache precomputes what the replications of one combinatorial
+// cell share — the optima under fixed means and the lazily built strategy
+// relation graph — so per-replication setup is O(1).
+func NewComboCache(env RewardModel, set *StrategySet) *ComboCache {
+	return sim.NewComboCache(env, set)
 }
 
 // NewContextualEnv builds a linear-reward environment over the relation
@@ -607,36 +578,6 @@ func NewContextualEnv(g *Graph, k int, theta []float64, features Counter) (*Cont
 // RandomTheta draws a hidden weight vector for NewContextualEnv from r,
 // normalised to sum 1.
 func RandomTheta(r *RNG, d int) []float64 { return bandit.RandomTheta(r, d) }
-
-// RunContextualSingle plays one replication of a single-play scenario
-// against a contextual environment.
-func RunContextualSingle(cenv *ContextualEnv, scen Scenario, pol SinglePolicy, cfg Config, r *RNG) (*Series, error) {
-	return sim.RunContextualSingle(cenv, scen, pol, cfg, r)
-}
-
-// RunContextualCombo plays one replication of a combinatorial scenario
-// against a contextual environment; cache may be nil.
-func RunContextualCombo(cenv *ContextualEnv, set *StrategySet, scen Scenario, pol ComboPolicy, cfg Config, r *RNG, cache *ComboCache) (*Series, error) {
-	return sim.RunContextualCombo(cenv, set, scen, pol, cfg, r, cache)
-}
-
-// NewContextualSingleRun returns a round-by-round stepper for a
-// contextual single-play replication.
-func NewContextualSingleRun(cenv *ContextualEnv, scen Scenario, pol SinglePolicy, cfg Config, r *RNG) (*SingleRun, error) {
-	return sim.NewContextualSingleRun(cenv, scen, pol, cfg, r)
-}
-
-// NewContextualComboRun returns a round-by-round stepper for a contextual
-// combinatorial replication; cache may be nil.
-func NewContextualComboRun(cenv *ContextualEnv, set *StrategySet, scen Scenario, pol ComboPolicy, cfg Config, r *RNG, cache *ComboCache) (*ComboRun, error) {
-	return sim.NewContextualComboRun(cenv, set, scen, pol, cfg, r, cache)
-}
-
-// NewContextualComboCache shares the lazily built strategy relation graph
-// across replications of one contextual combinatorial cell.
-func NewContextualComboCache(cenv *ContextualEnv, set *StrategySet) *ComboCache {
-	return sim.NewContextualComboCache(cenv, set)
-}
 
 // ReplicateSingle runs many single-play replications in parallel and
 // aggregates the regret curves.
