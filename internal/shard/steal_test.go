@@ -185,6 +185,14 @@ func (tr *stubTransport) Spawn(ctx context.Context, slot int, spec transport.Spe
 
 		sw := testSweep()
 		sw.Workers = 2
+		if b.crashAtRep == 0 {
+			// Die before the first replication folds. Cancelling from
+			// Progress instead would let the replications already in
+			// flight finish a cell and land its record, which a dead
+			// process never does.
+			quiet.Store(true)
+			cancel()
+		}
 		reps, cells := 0, 0
 		opts := RunOptions{
 			Cells: spec.Cells,
