@@ -209,8 +209,7 @@ func run() error {
 	}
 
 	// One cell on common streams: replication rep draws from
-	// rng.New(seed).Split(rep+1), the ReplicateSingle/ReplicateCombo
-	// derivation.
+	// rng.New(seed).Split(rep+1), the derivation every figure uses.
 	sw := sim.Sweep{
 		Envs:          []sim.EnvSpec{sim.FixedEnv("", scen, env, set)},
 		Policies:      []sim.PolicySpec{pol},

@@ -20,10 +20,15 @@
 // exactly one import:
 //
 //	env, _ := netbandit.NewBernoulliEnv(graph, means)
-//	agg, _ := netbandit.ReplicateSingle(env, netbandit.SSO,
-//	    func(*netbandit.RNG) netbandit.SinglePolicy { return netbandit.NewDFLSSO() },
-//	    netbandit.Config{Horizon: 10000}, netbandit.ReplicateOptions{Reps: 20, Seed: 1})
-//	fmt.Println(agg.Final(netbandit.CumPseudo))
+//	dfl, _ := netbandit.NewPolicySpec("dfl", netbandit.SSO)
+//	sweep := netbandit.Sweep{
+//	    Envs:     []netbandit.EnvSpec{netbandit.FixedEnv("env", netbandit.SSO, env, nil)},
+//	    Policies: []netbandit.PolicySpec{dfl},
+//	    Config:   netbandit.Config{Horizon: 10000},
+//	    Reps:     20, Seed: 1, CommonStreams: true,
+//	}
+//	res, _ := sweep.Run(context.Background())
+//	fmt.Println(res.Cells[0].Agg.Final(netbandit.CumPseudo))
 //
 // The named experiments behind every figure of the paper's evaluation
 // section are available through Experiments / FindExperiment and the
@@ -39,7 +44,7 @@
 //	graphs, armdist           relation graphs, reward distributions
 //	bandit, strategy          environments, scenarios, feasible families
 //	core, policy              the paper's DFL algorithms, baselines
-//	sim                       runners → replication → grid sweeps
+//	sim                       one runner → grid sweeps
 //	shard, shard/transport    distributable sweeps: plans, records,
 //	                          work-stealing coordinator, local/ssh workers
 //	cmd/nbandit               the CLI over all of it

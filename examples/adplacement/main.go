@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -46,28 +47,29 @@ func main() {
 		log.Fatal(err)
 	}
 
-	cfg := netbandit.Config{Horizon: horizon, AnnounceHorizon: true}
-	opts := netbandit.ReplicateOptions{Reps: reps, Seed: seed}
-
-	contenders := []struct {
-		name    string
-		factory netbandit.ComboFactory
-	}{
-		{"DFL-CSO", func(*netbandit.RNG) netbandit.ComboPolicy { return netbandit.NewDFLCSO() }},
-		{"CUCB", func(*netbandit.RNG) netbandit.ComboPolicy { return netbandit.NewCUCBDirect() }},
-		{"random", func(rr *netbandit.RNG) netbandit.ComboPolicy { return netbandit.NewComboRandom(rr) }},
+	sweep := netbandit.Sweep{
+		Envs: []netbandit.EnvSpec{netbandit.FixedEnv("ads", netbandit.CSO, env, set)},
+		Policies: []netbandit.PolicySpec{
+			{Name: "DFL-CSO", Combo: func(*netbandit.RNG) netbandit.ComboPolicy { return netbandit.NewDFLCSO() }},
+			{Name: "CUCB", Combo: func(*netbandit.RNG) netbandit.ComboPolicy { return netbandit.NewCUCBDirect() }},
+			{Name: "random", Combo: func(rr *netbandit.RNG) netbandit.ComboPolicy { return netbandit.NewComboRandom(rr) }},
+		},
+		Config:        netbandit.Config{Horizon: horizon, AnnounceHorizon: true},
+		Reps:          reps,
+		Seed:          seed,
+		CommonStreams: true,
+	}
+	res, err := sweep.Run(context.Background())
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	fmt.Printf("ad placement: %d ads, %d slots per page, |F| = %d placements, n=%d\n\n",
 		ads, slots, set.Len(), horizon)
 	fmt.Printf("%-10s %20s %20s\n", "policy", "final cum. regret", "avg regret / page")
-	for _, c := range contenders {
-		agg, err := netbandit.ReplicateCombo(env, set, netbandit.CSO, c.factory, cfg, opts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("%-10s %20.1f %20.4f\n", c.name,
-			agg.Final(netbandit.CumPseudo), agg.Final(netbandit.AvgPseudo))
+	for _, cell := range res.Cells {
+		fmt.Printf("%-10s %20.1f %20.4f\n", cell.Policy,
+			cell.Agg.Final(netbandit.CumPseudo), cell.Agg.Final(netbandit.AvgPseudo))
 	}
 
 	bestX, bestVal := set.BestDirect(ctr)

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -62,14 +63,21 @@ func scaledInstance() {
 		log.Fatal(err)
 	}
 
-	cfg := netbandit.Config{Horizon: horizon, AnnounceHorizon: true}
-	opts := netbandit.ReplicateOptions{Reps: reps, Seed: seed}
-	agg, err := netbandit.ReplicateCombo(env, set, netbandit.CSR,
-		func(*netbandit.RNG) netbandit.ComboPolicy { return netbandit.NewDFLCSR() },
-		cfg, opts)
+	sweep := netbandit.Sweep{
+		Envs: []netbandit.EnvSpec{netbandit.FixedEnv("independent-sets", netbandit.CSR, env, set)},
+		Policies: []netbandit.PolicySpec{
+			{Name: "DFL-CSR", Combo: func(*netbandit.RNG) netbandit.ComboPolicy { return netbandit.NewDFLCSR() }},
+		},
+		Config:        netbandit.Config{Horizon: horizon, AnnounceHorizon: true},
+		Reps:          reps,
+		Seed:          seed,
+		CommonStreams: true,
+	}
+	res, err := sweep.Run(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}
+	agg := res.Cells[0].Agg
 
 	fmt.Printf("scaled instance: %d arms, |F| = %d independent sets, n=%d\n",
 		arms, set.Len(), horizon)

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -27,21 +28,24 @@ func main() {
 		log.Fatal(err)
 	}
 
-	cfg := netbandit.Config{Horizon: horizon, AnnounceHorizon: true}
-	opts := netbandit.ReplicateOptions{Reps: reps, Seed: seed}
-
-	dfl, err := netbandit.ReplicateSingle(env, netbandit.SSO,
-		func(*netbandit.RNG) netbandit.SinglePolicy { return netbandit.NewDFLSSO() },
-		cfg, opts)
+	// One environment × two policies, replicated on common random streams
+	// so both policies face the same reward draws.
+	sweep := netbandit.Sweep{
+		Envs: []netbandit.EnvSpec{netbandit.FixedEnv("gnp", netbandit.SSO, env, nil)},
+		Policies: []netbandit.PolicySpec{
+			{Name: "DFL-SSO", Single: func(*netbandit.RNG) netbandit.SinglePolicy { return netbandit.NewDFLSSO() }},
+			{Name: "MOSS", Single: func(*netbandit.RNG) netbandit.SinglePolicy { return netbandit.NewMOSS() }},
+		},
+		Config:        netbandit.Config{Horizon: horizon, AnnounceHorizon: true},
+		Reps:          reps,
+		Seed:          seed,
+		CommonStreams: true,
+	}
+	res, err := sweep.Run(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}
-	moss, err := netbandit.ReplicateSingle(env, netbandit.SSO,
-		func(*netbandit.RNG) netbandit.SinglePolicy { return netbandit.NewMOSS() },
-		cfg, opts)
-	if err != nil {
-		log.Fatal(err)
-	}
+	dfl, moss := res.Cells[0].Agg, res.Cells[1].Agg
 
 	fmt.Printf("networked bandit: %d Bernoulli arms, G(%d, %.1f) relation graph, n=%d, %d reps\n\n",
 		arms, arms, edgeP, horizon, reps)

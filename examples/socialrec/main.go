@@ -12,8 +12,10 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
+	"slices"
 
 	"netbandit"
 )
@@ -50,25 +52,26 @@ func main() {
 	fmt.Printf("best influence target:  user %2d (circle of %d, total value %.2f)\n\n",
 		bestInf, graph.Degree(bestInf)+1, bestSide)
 
-	cfg := netbandit.Config{Horizon: horizon, AnnounceHorizon: true}
-	opts := netbandit.ReplicateOptions{Reps: reps, Seed: seed}
-
-	contenders := []struct {
-		name    string
-		factory netbandit.SingleFactory
-	}{
-		{"DFL-SSR (exact)", func(*netbandit.RNG) netbandit.SinglePolicy { return netbandit.NewDFLSSR() }},
-		{"DFL-SSR (streaming)", func(*netbandit.RNG) netbandit.SinglePolicy { return netbandit.NewDFLSSRStreaming() }},
-		{"DFL-SSO (wrong objective)", func(*netbandit.RNG) netbandit.SinglePolicy { return netbandit.NewDFLSSO() }},
+	sweep := netbandit.Sweep{
+		Envs: []netbandit.EnvSpec{netbandit.FixedEnv("social", netbandit.SSR, env, nil)},
+		Policies: []netbandit.PolicySpec{
+			{Name: "DFL-SSR (exact)", Single: func(*netbandit.RNG) netbandit.SinglePolicy { return netbandit.NewDFLSSR() }},
+			{Name: "DFL-SSR (streaming)", Single: func(*netbandit.RNG) netbandit.SinglePolicy { return netbandit.NewDFLSSRStreaming() }},
+			{Name: "DFL-SSO (wrong objective)", Single: func(*netbandit.RNG) netbandit.SinglePolicy { return netbandit.NewDFLSSO() }},
+		},
+		Config:        netbandit.Config{Horizon: horizon, AnnounceHorizon: true},
+		Reps:          reps,
+		Seed:          seed,
+		CommonStreams: true,
+	}
+	res, err := sweep.Run(context.Background())
+	if err != nil {
+		log.Fatal(err)
 	}
 	fmt.Printf("%-28s %18s %18s\n", "policy", "final cum. regret", "avg regret/round")
-	for _, c := range contenders {
-		agg, err := netbandit.ReplicateSingle(env, netbandit.SSR, c.factory, cfg, opts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("%-28s %18.1f %18.4f\n", c.name,
-			agg.Final(netbandit.CumPseudo), agg.Final(netbandit.AvgPseudo))
+	for _, cell := range res.Cells {
+		fmt.Printf("%-28s %18.1f %18.4f\n", cell.Policy,
+			cell.Agg.Final(netbandit.CumPseudo), cell.Agg.Final(netbandit.AvgPseudo))
 	}
 	fmt.Println("\n(regret is against the best influence target; maximising individual")
 	fmt.Println(" purchase probability is the wrong objective under side rewards)")
@@ -88,11 +91,14 @@ func buildSocialNetwork(users int, r *netbandit.RNG) *netbandit.Graph {
 	g.MustAddEdge(0, 2)
 	repeated = append(repeated, 0, 1, 1, 2, 0, 2)
 	for v := 3; v < users; v++ {
-		targets := map[int]bool{}
+		// Distinct targets in draw order, so the graph depends only on r.
+		var targets []int
 		for len(targets) < attach {
-			targets[repeated[r.Intn(len(repeated))]] = true
+			if u := repeated[r.Intn(len(repeated))]; !slices.Contains(targets, u) {
+				targets = append(targets, u)
+			}
 		}
-		for u := range targets {
+		for _, u := range targets {
 			g.MustAddEdge(u, v)
 			repeated = append(repeated, u, v)
 		}

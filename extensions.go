@@ -1,17 +1,12 @@
 package netbandit
 
-// Facade surface for the extension subsystems: the theoretical bound
-// calculators, the non-stationary (piecewise) environment with its
-// sliding-window policy, per-round tracing, the homophily workload
-// generator, and the KL-UCB baseline.
+// Facade surface for the extension subsystems: the non-stationary
+// (piecewise) environment with its sliding-window policy, and the
+// theoretical bound calculators.
 
 import (
-	"netbandit/internal/bandit"
 	"netbandit/internal/nonstat"
-	"netbandit/internal/obs"
-	"netbandit/internal/policy"
 	"netbandit/internal/theory"
-	"netbandit/internal/trace"
 )
 
 // Extension types.
@@ -22,56 +17,7 @@ type (
 	Segment = nonstat.Segment
 	// DynamicResult is the outcome of a piecewise run (dynamic regret).
 	DynamicResult = nonstat.Result
-	// TraceEvent is one simulation round as seen by a trace observer.
-	TraceEvent = trace.Event
-	// TraceObserver receives one TraceEvent per simulated round.
-	TraceObserver = trace.Observer
-	// TraceRecorder retains recent trace events in memory.
-	TraceRecorder = trace.Recorder
-	// JournalEvent is one typed flight-recorder event of a run journal.
-	JournalEvent = obs.Event
-	// JournalRecorder is the append-only JSONL flight recorder behind
-	// `shard run -journal`; a nil recorder is a valid disabled one.
-	JournalRecorder = obs.Recorder
-	// JournalSummary is the aggregate view AnalyzeJournal folds a journal
-	// into (event counts, fault mix, per-slot latency quantiles).
-	JournalSummary = obs.Summary
-	// MetricsRegistry is the Prometheus-text-format metrics registry behind
-	// the coordinator's `-listen` endpoint.
-	MetricsRegistry = obs.Registry
-	// MetricsServer is the opt-in HTTP listener serving /metrics, /healthz,
-	// and pprof for a MetricsRegistry.
-	MetricsServer = obs.Server
 )
-
-// Observability plane (package obs).
-
-// OpenJournal opens (creating or repairing-and-appending-to) a
-// flight-recorder journal at path.
-func OpenJournal(path string) (*JournalRecorder, error) { return obs.Open(path) }
-
-// ReadJournal parses a journal file, tolerating torn tails; skipped is
-// the number of unparseable lines.
-func ReadJournal(path string) (events []JournalEvent, skipped int, err error) {
-	return obs.ReadJournal(path)
-}
-
-// AnalyzeJournal folds parsed journal events into a JournalSummary.
-func AnalyzeJournal(events []JournalEvent, skipped int) JournalSummary {
-	return obs.Analyze(events, skipped)
-}
-
-// NewMetricsRegistry returns an empty metrics registry.
-func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
-
-// StartMetricsServer serves reg's /metrics, /healthz, and pprof on addr
-// (":0" binds a free port; the server's Addr reports it).
-func StartMetricsServer(addr string, reg *MetricsRegistry) (*MetricsServer, error) {
-	return obs.StartServer(addr, reg)
-}
-
-// NewKLUCB returns the asymptotically optimal Bernoulli KL-UCB baseline.
-func NewKLUCB() SinglePolicy { return policy.NewKLUCB() }
 
 // NewPiecewiseEnv builds a piecewise-stationary environment over a fixed
 // relation graph.
@@ -89,37 +35,13 @@ func RunPiecewise(env *PiecewiseEnv, pol SinglePolicy, horizon int, checkpoints 
 	return nonstat.Run(env, pol, horizon, checkpoints, r)
 }
 
-// SmoothedMeans generates homophilous arm means over a relation graph
-// (neighbours end up with similar means), rescaled to span [0, 1].
-func SmoothedMeans(g *Graph, rounds int, r *RNG) ([]float64, error) {
-	return bandit.SmoothedMeans(g, rounds, r)
-}
-
-// NeighborhoodCorrelation measures the homophily of a mean vector over a
-// graph as the correlation between arm means and their neighbourhood
-// averages.
-func NeighborhoodCorrelation(g *Graph, means []float64) float64 {
-	return bandit.NeighborhoodCorrelation(g, means)
-}
-
 // Theoretical regret bounds (package theory).
-
-// MOSSRegretBound returns the 49·sqrt(nK) distribution-free MOSS bound.
-func MOSSRegretBound(n, k int) float64 { return theory.MOSSBound(n, k) }
 
 // Theorem1RegretBound returns the DFL-SSO bound of Theorem 1 for the
 // given clique-cover size.
 func Theorem1RegretBound(n, k, cliqueCover int) float64 {
 	return theory.Theorem1Bound(n, k, cliqueCover)
 }
-
-// Theorem2RegretBound returns the DFL-CSO bound of Theorem 2.
-func Theorem2RegretBound(n, f, cliqueCover int) float64 {
-	return theory.Theorem2Bound(n, f, cliqueCover)
-}
-
-// Theorem3RegretBound returns the DFL-SSR bound of Theorem 3.
-func Theorem3RegretBound(n, k int) float64 { return theory.Theorem3Bound(n, k) }
 
 // Theorem4RegretBound returns the DFL-CSR bound of Theorem 4 for the
 // given maximum closure size N.

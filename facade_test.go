@@ -1,6 +1,7 @@
 package netbandit_test
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -28,36 +29,22 @@ func TestFacadeEnvironmentConstruction(t *testing.T) {
 	}
 }
 
-func TestFacadeDistributions(t *testing.T) {
-	if _, err := netbandit.Bernoulli(0.5); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := netbandit.Beta(2, 3); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := netbandit.TruncGaussian(0.5, 0.1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := netbandit.Bernoulli(-1); err == nil {
-		t.Fatal("invalid Bernoulli accepted")
-	}
-}
-
 func TestFacadePolicyConstructors(t *testing.T) {
 	r := netbandit.NewRNG(2)
 	singles := []netbandit.SinglePolicy{
 		netbandit.NewDFLSSO(),
-		netbandit.NewDFLSSOGreedyHop(),
 		netbandit.NewDFLSSR(),
 		netbandit.NewDFLSSRStreaming(),
 		netbandit.NewMOSS(),
-		netbandit.NewUCB1(),
-		netbandit.NewUCBN(),
-		netbandit.NewUCBMaxN(),
-		netbandit.NewThompson(r),
-		netbandit.NewEpsilonGreedy(0.1, r),
-		netbandit.NewEXP3(0.1, r),
-		netbandit.NewRandomPolicy(r),
+		netbandit.NewSWDFLSSO(50),
+	}
+	// The baselines without a facade constructor stay reachable by name.
+	for _, name := range []string{"dfl-hop", "ucb1", "ucbn", "ucbmaxn", "thompson", "egreedy", "exp3", "random"} {
+		spec, err := netbandit.NewPolicySpec(name, netbandit.SSO)
+		if err != nil {
+			t.Fatal(err)
+		}
+		singles = append(singles, spec.Single(r))
 	}
 	seen := map[string]bool{}
 	for _, p := range singles {
@@ -70,10 +57,17 @@ func TestFacadePolicyConstructors(t *testing.T) {
 	combos := []netbandit.ComboPolicy{
 		netbandit.NewDFLCSO(),
 		netbandit.NewDFLCSR(),
-		netbandit.NewDFLCSRWithOracle(netbandit.GreedyOracle(2)),
 		netbandit.NewCUCBDirect(),
-		netbandit.NewCUCBClosure(),
 		netbandit.NewComboRandom(r),
+		netbandit.NewCombLinUCB(1, netbandit.ObjectiveDirect),
+		netbandit.NewCombCtxThompson(1, netbandit.ObjectiveClosure, r),
+	}
+	for _, name := range []string{"cucb", "cts", "osmd"} {
+		spec, err := netbandit.NewPolicySpec(name, netbandit.CSR)
+		if err != nil {
+			t.Fatal(err)
+		}
+		combos = append(combos, spec.Combo(r))
 	}
 	for _, p := range combos {
 		if p.Name() == "" {
@@ -89,14 +83,21 @@ func TestFacadeEndToEndSSO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg, err := netbandit.ReplicateSingle(env, netbandit.SSO,
-		func(*netbandit.RNG) netbandit.SinglePolicy { return netbandit.NewDFLSSO() },
-		netbandit.Config{Horizon: 1500, AnnounceHorizon: true},
-		netbandit.ReplicateOptions{Reps: 3, Seed: 4})
+	sweep := netbandit.Sweep{
+		Envs: []netbandit.EnvSpec{netbandit.FixedEnv("gnp", netbandit.SSO, env, nil)},
+		Policies: []netbandit.PolicySpec{
+			{Name: "DFL-SSO", Single: func(*netbandit.RNG) netbandit.SinglePolicy { return netbandit.NewDFLSSO() }},
+		},
+		Config:        netbandit.Config{Horizon: 1500, AnnounceHorizon: true},
+		Reps:          3,
+		Seed:          4,
+		CommonStreams: true,
+	}
+	res, err := sweep.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	final := agg.Final(netbandit.AvgPseudo)
+	final := res.Cells[0].Agg.Final(netbandit.AvgPseudo)
 	if math.IsNaN(final) || final < 0 || final > 0.5 {
 		t.Fatalf("implausible final avg regret %v", final)
 	}
@@ -128,22 +129,19 @@ func TestFacadeEndToEndCSR(t *testing.T) {
 }
 
 func TestFacadeStrategyHelpers(t *testing.T) {
-	g := netbandit.StarGraph(5)
-	set, err := netbandit.UpToM(5, 2, g)
+	g := netbandit.NewGraph(5)
+	set, err := netbandit.TopM(5, 2, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if set.Len() != 15 { // C(5,1)+C(5,2)
-		t.Fatalf("|F| = %d, want 15", set.Len())
+	if set.Len() != 10 { // C(5,2)
+		t.Fatalf("|F| = %d, want 10", set.Len())
 	}
-	explicit, err := netbandit.ExplicitStrategies(3, [][]int{{0}, {1, 2}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if explicit.Len() != 2 {
-		t.Fatalf("|F| = %d", explicit.Len())
-	}
-	ind, err := netbandit.IndependentSets(netbandit.CompleteGraph(3), 2)
+	k3 := netbandit.NewGraph(3)
+	k3.MustAddEdge(0, 1)
+	k3.MustAddEdge(1, 2)
+	k3.MustAddEdge(0, 2)
+	ind, err := netbandit.IndependentSets(k3, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,9 +151,6 @@ func TestFacadeStrategyHelpers(t *testing.T) {
 	sg := netbandit.BuildStrategyGraph(ind)
 	if sg.N() != 3 {
 		t.Fatalf("SG size %d", sg.N())
-	}
-	if netbandit.ExactOracle().Name() != "exact" {
-		t.Fatal("oracle name")
 	}
 }
 

@@ -59,12 +59,12 @@ func CliqueCoverNumber(g *Graph) int {
 	return len(GreedyCliqueCover(g))
 }
 
-// MaximalCliques enumerates all maximal cliques of g via Bron-Kerbosch with
+// maximalCliques enumerates all maximal cliques of g via Bron-Kerbosch with
 // pivoting, invoking emit for each clique (in increasing vertex order).
 // If emit returns false, enumeration stops early. Intended for the modest
 // graph sizes used in the simulations; the number of maximal cliques can be
 // exponential in general.
-func MaximalCliques(g *Graph, emit func(clique []int) bool) {
+func maximalCliques(g *Graph, emit func(clique []int) bool) {
 	n := g.N()
 	if n == 0 {
 		return
@@ -172,19 +172,6 @@ func forEachBit(b []uint64, f func(v int)) {
 	}
 }
 
-// MaxCliqueSize returns the order of a largest clique, found by exhaustive
-// Bron-Kerbosch enumeration. Use only on small graphs.
-func MaxCliqueSize(g *Graph) int {
-	best := 0
-	MaximalCliques(g, func(c []int) bool {
-		if len(c) > best {
-			best = len(c)
-		}
-		return true
-	})
-	return best
-}
-
 // DegeneracyOrdering returns a vertex ordering in which each vertex has the
 // minimum remaining degree at removal time, along with the graph's
 // degeneracy (the largest such degree). Useful both as a sparsity measure
@@ -240,11 +227,11 @@ func DegeneracyOrdering(g *Graph) (order []int, degeneracy int) {
 	return order, degeneracy
 }
 
-// GreedyMaxWeightIndependentSet returns an independent set found by the
+// greedyMaxWeightIndependentSet returns an independent set found by the
 // classical weight/(degree+1) greedy heuristic, along with its total
 // weight. It is used by example programs as a combinatorial oracle over
 // independent-set strategy spaces too large to enumerate.
-func GreedyMaxWeightIndependentSet(g *Graph, weight []float64) ([]int, float64) {
+func greedyMaxWeightIndependentSet(g *Graph, weight []float64) ([]int, float64) {
 	n := g.N()
 	alive := make([]bool, n)
 	for v := range alive {

@@ -113,7 +113,7 @@ func TestMaximalCliquesTrianglePlusEdge(t *testing.T) {
 	g.MustAddEdge(0, 2)
 	g.MustAddEdge(2, 3)
 	var got [][]int
-	MaximalCliques(g, func(c []int) bool {
+	maximalCliques(g, func(c []int) bool {
 		cc := append([]int(nil), c...)
 		got = append(got, cc)
 		return true
@@ -135,7 +135,7 @@ func TestMaximalCliquesTrianglePlusEdge(t *testing.T) {
 func TestMaximalCliquesEarlyStop(t *testing.T) {
 	g := Complete(10)
 	calls := 0
-	MaximalCliques(g, func(c []int) bool {
+	maximalCliques(g, func(c []int) bool {
 		calls++
 		return false
 	})
@@ -171,7 +171,7 @@ func TestMaximalCliquesProperty(t *testing.T) {
 		n := 1 + rr.Intn(18)
 		g := Gnp(n, 0.5, rr)
 		ok := true
-		MaximalCliques(g, func(c []int) bool {
+		maximalCliques(g, func(c []int) bool {
 			if !g.IsClique(c) {
 				ok = false
 				return false
@@ -238,7 +238,7 @@ func TestDegeneracyOrdering(t *testing.T) {
 func TestGreedyMaxWeightIndependentSet(t *testing.T) {
 	// Path 0-1-2: weights favour the endpoints.
 	g := Path(3)
-	set, total := GreedyMaxWeightIndependentSet(g, []float64{1, 0.5, 1})
+	set, total := greedyMaxWeightIndependentSet(g, []float64{1, 0.5, 1})
 	if !reflect.DeepEqual(set, []int{0, 2}) {
 		t.Fatalf("set = %v, want [0 2]", set)
 	}
@@ -261,7 +261,7 @@ func TestGreedyMWISProperty(t *testing.T) {
 		for i := range w {
 			w[i] = rr.Float64()
 		}
-		set, total := GreedyMaxWeightIndependentSet(g, w)
+		set, total := greedyMaxWeightIndependentSet(g, w)
 		if !g.IsIndependentSet(set) {
 			return false
 		}
@@ -276,4 +276,17 @@ func TestGreedyMWISProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// MaxCliqueSize returns the order of a largest clique, found by exhaustive
+// Bron-Kerbosch enumeration. Use only on small graphs.
+func MaxCliqueSize(g *Graph) int {
+	best := 0
+	maximalCliques(g, func(c []int) bool {
+		if len(c) > best {
+			best = len(c)
+		}
+		return true
+	})
+	return best
 }

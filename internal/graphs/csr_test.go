@@ -15,7 +15,7 @@ func buildBoth(t *testing.T, n int, edges [][2]int, r *rng.RNG) (dense, sparse *
 	t.Helper()
 	shuffled := append([][2]int(nil), edges...)
 	r.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-	dense, sparse = NewDense(n), NewSparse(n)
+	dense, sparse = newGraph(n, true), newGraph(n, false)
 	if !dense.Dense() || sparse.Dense() {
 		t.Fatalf("representation flags wrong: dense=%v sparse=%v", dense.Dense(), sparse.Dense())
 	}
@@ -113,11 +113,11 @@ func TestSparseDenseAlgorithmsAgree(t *testing.T) {
 			t.Fatalf("n=%d p=%v: clique covers differ", tc.n, tc.p)
 		}
 		var cd, cs [][]int
-		MaximalCliques(dense, func(c []int) bool {
+		maximalCliques(dense, func(c []int) bool {
 			cd = append(cd, append([]int(nil), c...))
 			return true
 		})
-		MaximalCliques(sparse, func(c []int) bool {
+		maximalCliques(sparse, func(c []int) bool {
 			cs = append(cs, append([]int(nil), c...))
 			return true
 		})

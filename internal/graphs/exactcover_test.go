@@ -72,3 +72,96 @@ func TestGreedyCoverNearOptimalOnRandomGraphs(t *testing.T) {
 		}
 	}
 }
+
+// ExactCliqueCoverNumber computes the exact clique-cover number χ̄(g) — the
+// minimum number of cliques needed to partition the vertices — by
+// branch-and-bound colouring of the complement graph (a clique cover of G
+// is precisely a proper colouring of its complement). The search is
+// exponential in the worst case; intended for validation on graphs of a
+// few dozen vertices, where it certifies how far the greedy cover used in
+// the Theorem 1 bound is from optimal.
+func ExactCliqueCoverNumber(g *Graph) int {
+	n := g.N()
+	if n == 0 {
+		return 0
+	}
+	comp := g.Complement()
+	return chromaticNumber(comp)
+}
+
+// chromaticNumber computes χ(g) by branch and bound with a
+// largest-first vertex order and greedy upper bound.
+func chromaticNumber(g *Graph) int {
+	n := g.N()
+	if n == 0 {
+		return 0
+	}
+	// Vertex order: descending degree accelerates pruning.
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	for i := 1; i < n; i++ {
+		for j := i; j > 0 && g.Degree(order[j]) > g.Degree(order[j-1]); j-- {
+			order[j], order[j-1] = order[j-1], order[j]
+		}
+	}
+
+	// Greedy upper bound seeds the search.
+	best := greedyColorCount(g, order)
+	colors := make([]int, n) // 0 = uncoloured; 1..k assigned
+	var rec func(pos, used int)
+	rec = func(pos, used int) {
+		if used >= best {
+			return // cannot improve
+		}
+		if pos == n {
+			best = used
+			return
+		}
+		v := order[pos]
+		// Try existing colours.
+		for c := 1; c <= used; c++ {
+			if colorFeasible(g, colors, v, c) {
+				colors[v] = c
+				rec(pos+1, used)
+				colors[v] = 0
+			}
+		}
+		// Open one new colour (symmetric choices beyond used+1 are
+		// equivalent, so trying exactly one suffices).
+		if used+1 < best {
+			colors[v] = used + 1
+			rec(pos+1, used+1)
+			colors[v] = 0
+		}
+	}
+	rec(0, 0)
+	return best
+}
+
+func colorFeasible(g *Graph, colors []int, v, c int) bool {
+	for _, u := range g.adj[v] {
+		if colors[u] == c {
+			return false
+		}
+	}
+	return true
+}
+
+func greedyColorCount(g *Graph, order []int) int {
+	n := g.N()
+	colors := make([]int, n)
+	used := 0
+	for _, v := range order {
+		c := 1
+		for !colorFeasible(g, colors, v, c) {
+			c++
+		}
+		colors[v] = c
+		if c > used {
+			used = c
+		}
+	}
+	return used
+}

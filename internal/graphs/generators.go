@@ -3,6 +3,7 @@ package graphs
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"netbandit/internal/rng"
@@ -107,15 +108,16 @@ func BarabasiAlbert(n, attach int, r *rng.RNG) *Graph {
 		// attach == 1: seed a single vertex with an artificial presence.
 		repeated = append(repeated, 0)
 	}
-	targets := make(map[int]bool, attach)
+	// Targets are kept in draw order so the graph is a pure function of r.
+	targets := make([]int, 0, attach)
 	for v := attach; v < n; v++ {
-		for k := range targets {
-			delete(targets, k)
-		}
+		targets = targets[:0]
 		for len(targets) < attach {
-			targets[repeated[r.Intn(len(repeated))]] = true
+			if u := repeated[r.Intn(len(repeated))]; !slices.Contains(targets, u) {
+				targets = append(targets, u)
+			}
 		}
-		for u := range targets {
+		for _, u := range targets {
 			g.MustAddEdge(u, v)
 			repeated = append(repeated, u, v)
 		}
@@ -229,8 +231,8 @@ func Complete(n int) *Graph {
 // generator the natural control in ablation experiments.
 func Empty(n int) *Graph { return New(n) }
 
-// Grid returns the rows×cols king-free grid graph (4-neighbour lattice).
-func Grid(rows, cols int) *Graph {
+// grid returns the rows×cols king-free grid graph (4-neighbour lattice).
+func grid(rows, cols int) *Graph {
 	g := New(rows * cols)
 	id := func(r, c int) int { return r*cols + c }
 	for r := 0; r < rows; r++ {

@@ -2,6 +2,7 @@ package graphs
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"netbandit/internal/rng"
@@ -123,7 +124,7 @@ func TestFixedTopologies(t *testing.T) {
 		{"path", Path(5), 5, 4, true},
 		{"complete", Complete(5), 5, 10, true},
 		{"empty", Empty(4), 4, 0, false},
-		{"grid", Grid(3, 4), 12, 17, true},
+		{"grid", grid(3, 4), 12, 17, true},
 		{"caveman", Caveman(3, 4), 12, 3*6 + 3, true},
 	}
 	for _, tc := range tests {
@@ -164,5 +165,34 @@ func TestFromName(t *testing.T) {
 	}
 	if _, err := FromName("nope", 10, 0, r); err == nil {
 		t.Fatal("unknown generator accepted")
+	}
+}
+
+// TestGeneratorsDeterministic rebuilds every named generator from one seed
+// and requires the same edges and the same neighbour order each time: a
+// graph must be a pure function of its random stream, or sweep axes,
+// shard workers, and restarted serve instances disagree about it.
+func TestGeneratorsDeterministic(t *testing.T) {
+	params := map[string]float64{"gnp": 0.3, "ba": 3, "ws": 0.3, "geometric": 0.3, "caveman": 4}
+	for _, name := range GeneratorNames() {
+		build := func() *Graph {
+			g, err := FromName(GeneratorName(name), 60, params[name], rng.New(9))
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return g
+		}
+		want := build()
+		for rebuild := 0; rebuild < 20; rebuild++ {
+			got := build()
+			if !reflect.DeepEqual(got.Edges(), want.Edges()) {
+				t.Fatalf("%s: rebuild %d gave different edges", name, rebuild)
+			}
+			for v := 0; v < want.N(); v++ {
+				if !reflect.DeepEqual(got.Neighbors(v), want.Neighbors(v)) {
+					t.Fatalf("%s: rebuild %d gave vertex %d different neighbours", name, rebuild, v)
+				}
+			}
+		}
 	}
 }

@@ -55,22 +55,15 @@ const (
 )
 
 // New returns an edgeless graph with n vertices, choosing the dense
-// representation up to DenseVertexLimit vertices and the sparse one above.
-// Use NewDense, NewSparse, or NewAuto to choose explicitly. It panics if
-// n < 0.
+// representation (an O(n²)-bit adjacency matrix plus lists) up to
+// DenseVertexLimit vertices and the sparse one above: sorted adjacency
+// lists only, where edge tests cost O(log deg) and row unions O(deg) but
+// memory is O(n + m) — the only feasible shape for relation graphs with
+// 10⁴–10⁵ arms. Use NewAuto to choose from the expected edge count
+// instead. It panics if n < 0.
 func New(n int) *Graph {
 	return newGraph(n, n <= DenseVertexLimit)
 }
-
-// NewDense returns an edgeless graph that keeps the O(n²)-bit adjacency
-// matrix regardless of size. It panics if n < 0.
-func NewDense(n int) *Graph { return newGraph(n, true) }
-
-// NewSparse returns an edgeless graph in the CSR-style representation:
-// sorted adjacency lists only, no bit matrix. Edge tests cost O(log deg)
-// and row unions O(deg), but memory is O(n + m) — the only feasible shape
-// for relation graphs with 10⁴–10⁵ arms. It panics if n < 0.
-func NewSparse(n int) *Graph { return newGraph(n, false) }
 
 // NewAuto returns an edgeless graph choosing the representation from the
 // expected edge density (m / C(n,2)): dense when small enough to be free

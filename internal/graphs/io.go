@@ -8,13 +8,13 @@ import (
 	"strings"
 )
 
-// WriteEdgeList writes g in a simple text format:
+// writeEdgeList writes g in a simple text format:
 //
 //	n <vertexCount>
 //	<u> <v>        (one line per edge, u < v)
 //
 // Lines beginning with '#' are comments on read.
-func WriteEdgeList(w io.Writer, g *Graph) error {
+func writeEdgeList(w io.Writer, g *Graph) error {
 	bw := bufio.NewWriter(w)
 	if _, err := fmt.Fprintf(bw, "n %d\n", g.N()); err != nil {
 		return err
@@ -27,8 +27,8 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
-// ReadEdgeList parses the format produced by WriteEdgeList.
-func ReadEdgeList(r io.Reader) (*Graph, error) {
+// readEdgeList parses the format produced by writeEdgeList.
+func readEdgeList(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	var g *Graph
 	line := 0

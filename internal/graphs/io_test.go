@@ -10,10 +10,10 @@ import (
 func TestEdgeListRoundTrip(t *testing.T) {
 	g := Gnp(30, 0.3, rng.New(1))
 	var sb strings.Builder
-	if err := WriteEdgeList(&sb, g); err != nil {
+	if err := writeEdgeList(&sb, g); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadEdgeList(strings.NewReader(sb.String()))
+	got, err := readEdgeList(strings.NewReader(sb.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestEdgeListRoundTrip(t *testing.T) {
 
 func TestReadEdgeListComments(t *testing.T) {
 	in := "# relation graph\nn 3\n\n0 1\n# middle comment\n1 2\n"
-	g, err := ReadEdgeList(strings.NewReader(in))
+	g, err := readEdgeList(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestReadEdgeListErrors(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := ReadEdgeList(strings.NewReader(tc.in)); err == nil {
+			if _, err := readEdgeList(strings.NewReader(tc.in)); err == nil {
 				t.Fatalf("input %q accepted", tc.in)
 			}
 		})

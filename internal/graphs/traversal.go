@@ -73,9 +73,9 @@ func IsConnected(g *Graph) bool {
 	return true
 }
 
-// Diameter returns the longest shortest path in g, or -1 if g is
+// diameter returns the longest shortest path in g, or -1 if g is
 // disconnected or empty. O(n·(n+m)); fine at simulation scale.
-func Diameter(g *Graph) int {
+func diameter(g *Graph) int {
 	if g.n == 0 {
 		return -1
 	}

@@ -72,8 +72,8 @@ func TestDiameter(t *testing.T) {
 		{"singleton", New(1), 0},
 	}
 	for _, tc := range tests {
-		if got := Diameter(tc.g); got != tc.want {
-			t.Errorf("%s: Diameter = %d, want %d", tc.name, got, tc.want)
+		if got := diameter(tc.g); got != tc.want {
+			t.Errorf("%s: diameter = %d, want %d", tc.name, got, tc.want)
 		}
 	}
 }

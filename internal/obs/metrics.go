@@ -267,15 +267,25 @@ func (r *Registry) WriteProm(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
+	// Labeled families gain children under r.mu, so each family's children
+	// are snapshotted while it is held; rendering (which may call gauge
+	// funcs and block on w) runs after it is released.
 	r.mu.Lock()
-	names := append([]string(nil), r.order...)
-	fams := make([]*family, len(names))
-	for i, n := range names {
-		fams[i] = r.families[n]
+	fams := make([]*family, len(r.order))
+	kids := make([][]labeledChild, len(r.order))
+	for i, n := range r.order {
+		f := r.families[n]
+		fams[i] = f
+		if f.children != nil {
+			kids[i] = make([]labeledChild, len(f.order))
+			for j, lv := range f.order {
+				kids[i][j] = labeledChild{lv, f.children[lv]}
+			}
+		}
 	}
 	r.mu.Unlock()
 
-	for _, f := range fams {
+	for i, f := range fams {
 		typ := "gauge"
 		if f.kind == kindCounter {
 			typ = "counter"
@@ -290,27 +300,33 @@ func (r *Registry) WriteProm(w io.Writer) error {
 		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.name, typ); err != nil {
 			return err
 		}
-		if err := f.render(w); err != nil {
+		if err := f.render(w, kids[i]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// render writes one family's sample lines.
-func (f *family) render(w io.Writer) error {
-	if f.children != nil {
-		vals := append([]string(nil), f.order...)
-		sort.Strings(vals)
-		for _, lv := range vals {
+// labeledChild is one child of a labeled family, snapshotted for render.
+type labeledChild struct {
+	labelVal string
+	inst     any // *Counter or *Gauge
+}
+
+// render writes one family's sample lines; kids is the snapshot of a
+// labeled family's children (nil for unlabeled families).
+func (f *family) render(w io.Writer, kids []labeledChild) error {
+	if kids != nil {
+		sort.Slice(kids, func(i, j int) bool { return kids[i].labelVal < kids[j].labelVal })
+		for _, c := range kids {
 			var v float64
-			switch inst := f.children[lv].(type) {
+			switch inst := c.inst.(type) {
 			case *Counter:
 				v = float64(inst.Value())
 			case *Gauge:
 				v = inst.Value()
 			}
-			if _, err := fmt.Fprintf(w, "%s{%s=%q} %s\n", f.name, f.labelKey, lv, formatSample(v)); err != nil {
+			if _, err := fmt.Fprintf(w, "%s{%s=%q} %s\n", f.name, f.labelKey, c.labelVal, formatSample(v)); err != nil {
 				return err
 			}
 		}

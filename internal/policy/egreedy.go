@@ -25,8 +25,8 @@ type EpsilonGreedy struct {
 	k     int
 }
 
-// NewEpsilonGreedy returns a constant-ε policy.
-func NewEpsilonGreedy(epsilon float64, r *rng.RNG) *EpsilonGreedy {
+// newEpsilonGreedy returns a constant-ε policy.
+func newEpsilonGreedy(epsilon float64, r *rng.RNG) *EpsilonGreedy {
 	return &EpsilonGreedy{Epsilon: epsilon, rng: r}
 }
 

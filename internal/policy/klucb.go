@@ -26,8 +26,8 @@ type KLUCB struct {
 	index []float64
 }
 
-// NewKLUCB returns a KL-UCB policy that ignores side observations.
-func NewKLUCB() *KLUCB { return &KLUCB{} }
+// newKLUCB returns a KL-UCB policy that ignores side observations.
+func newKLUCB() *KLUCB { return &KLUCB{} }
 
 // Name implements bandit.SinglePolicy.
 func (p *KLUCB) Name() string {

@@ -62,7 +62,7 @@ func TestKLUCBIndexBisection(t *testing.T) {
 }
 
 func TestKLUCBConcentrates(t *testing.T) {
-	pol := NewKLUCB()
+	pol := newKLUCB()
 	pulls := driveSingle(t, pol, nil, easyMeans, 2000, 2000, 301)
 	if pulls[3] < 1600 {
 		t.Fatalf("KL-UCB pulled best arm %d/2000: %v", pulls[3], pulls)

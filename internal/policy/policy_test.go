@@ -56,7 +56,7 @@ func TestIndexPoliciesConcentrate(t *testing.T) {
 		{"UCB-N", NewUCBN(), 700},
 		{"UCB-MaxN", NewUCBMaxN(), 700},
 		{"Thompson", NewThompson(rng.New(100)), 800},
-		{"eps-greedy", NewEpsilonGreedy(0.05, rng.New(101)), 700},
+		{"eps-greedy", newEpsilonGreedy(0.05, rng.New(101)), 700},
 		{"decaying eps", NewDecayingEpsilonGreedy(1, rng.New(102)), 600},
 		{"FTL-side", &FTL{UseSideObs: true}, 500},
 	}
@@ -75,7 +75,7 @@ func TestIndexPoliciesConcentrate(t *testing.T) {
 func TestAllArmsForcedOnce(t *testing.T) {
 	// Index policies must try every arm at least once on an edgeless graph.
 	policies := []bandit.SinglePolicy{
-		NewMOSS(), NewUCB1(), NewUCBN(), NewUCBMaxN(), NewFTL(),
+		NewMOSS(), NewUCB1(), NewUCBN(), NewUCBMaxN(), newFTL(),
 	}
 	for _, pol := range policies {
 		pulls := driveSingle(t, pol, nil, easyMeans, 100, 100, 57)
@@ -170,11 +170,11 @@ func TestPolicyNameStrings(t *testing.T) {
 		{NewUCBN().Name(), "UCB-N"},
 		{NewUCBMaxN().Name(), "UCB-MaxN"},
 		{NewThompson(r).Name(), "Thompson"},
-		{NewEpsilonGreedy(0.1, r).Name(), "eps-greedy(0.10)"},
+		{newEpsilonGreedy(0.1, r).Name(), "eps-greedy(0.10)"},
 		{NewDecayingEpsilonGreedy(2, r).Name(), "eps-greedy(decay=2.00)"},
 		{NewEXP3(0.2, r).Name(), "EXP3(0.20)"},
 		{NewRandom(r).Name(), "random"},
-		{NewFTL().Name(), "FTL"},
+		{newFTL().Name(), "FTL"},
 	}
 	for _, tc := range tests {
 		if tc.got != tc.want {

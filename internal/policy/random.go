@@ -41,8 +41,8 @@ type FTL struct {
 	k     int
 }
 
-// NewFTL returns a follow-the-leader policy.
-func NewFTL() *FTL { return &FTL{} }
+// newFTL returns a follow-the-leader policy.
+func newFTL() *FTL { return &FTL{} }
 
 // Name implements bandit.SinglePolicy.
 func (p *FTL) Name() string {

@@ -151,35 +151,3 @@ func VerifyDir(dir string) ([]*VerifyResult, error) {
 	}
 	return results, nil
 }
-
-// AggregateOf is a convenience for audits and tests: the aggregate
-// state a verified instance directory's log replays to.
-func AggregateOf(dir string) (*sim.AggregateState, error) {
-	raw, err := os.ReadFile(filepath.Join(dir, SpecName))
-	if err != nil {
-		return nil, err
-	}
-	var spec Spec
-	if err := json.Unmarshal(raw, &spec); err != nil {
-		return nil, err
-	}
-	if err := spec.Normalize(); err != nil {
-		return nil, err
-	}
-	rounds, err := readLog(filepath.Join(dir, LogName), spec.Hash())
-	if err != nil {
-		return nil, err
-	}
-	b, err := spec.build()
-	if err != nil {
-		return nil, err
-	}
-	if err := replayLog(b, &spec, rounds, nil); err != nil {
-		return nil, err
-	}
-	snap, err := currentSnapshot(b, spec.Hash())
-	if err != nil {
-		return nil, err
-	}
-	return snap.State, nil
-}

@@ -241,7 +241,7 @@ func TestDegradedModeCompletesInProcess(t *testing.T) {
 	mergedEqualsGolden(t, c.Dir, c.Plan, golden)
 
 	// The persisted snapshot records the degraded completion and retries.
-	ls, err := ReadLeaseState(c.Dir)
+	ls, _, err := ReadLeaseStateRetry(c.Dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +300,7 @@ func TestLeaseStateOldSchemaStillParses(t *testing.T) {
 	if err := os.WriteFile(LeaseStatePath(dir), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ls, err := ReadLeaseState(dir)
+	ls, _, err := ReadLeaseStateRetry(dir)
 	if err != nil {
 		t.Fatalf("old-schema leases.json no longer parses: %v", err)
 	}
@@ -331,7 +331,7 @@ func TestLeaseStateHealthRoundTrip(t *testing.T) {
 	if err := os.WriteFile(LeaseStatePath(dir), append(raw, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	out, err := ReadLeaseState(dir)
+	out, _, err := ReadLeaseStateRetry(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1011,18 +1011,3 @@ func (st *stealRun) persistLocked() {
 	}
 	_ = atomicWrite(LeaseStatePath(st.c.Dir), append(raw, '\n'))
 }
-
-// ReadLeaseState loads dir/leases.json. A missing file returns
-// fs.ErrNotExist: no coordinator has run here (or an old one predates
-// lease snapshots).
-func ReadLeaseState(dir string) (*LeaseState, error) {
-	raw, err := os.ReadFile(LeaseStatePath(dir))
-	if err != nil {
-		return nil, err
-	}
-	var ls LeaseState
-	if err := json.Unmarshal(raw, &ls); err != nil {
-		return nil, fmt.Errorf("shard: parsing %s: %w", LeaseStatePath(dir), err)
-	}
-	return &ls, nil
-}

@@ -330,7 +330,7 @@ func TestStealCoordinatorCompletesCleanRun(t *testing.T) {
 	mergedEqualsGolden(t, c.Dir, c.Plan, golden)
 
 	// The persisted lease snapshot outlives the run for `shard status`.
-	ls, err := ReadLeaseState(c.Dir)
+	ls, _, err := ReadLeaseStateRetry(c.Dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +361,7 @@ func TestStealCoordinatorStealsFromStraggler(t *testing.T) {
 		t.Fatalf("log does not mention the steal: %q", log.String())
 	}
 	mergedEqualsGolden(t, c.Dir, c.Plan, golden)
-	ls, err := ReadLeaseState(c.Dir)
+	ls, _, err := ReadLeaseStateRetry(c.Dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,7 +462,7 @@ func TestStealCoordinatorMountlessPushSync(t *testing.T) {
 	}
 	mergedEqualsGolden(t, c.Dir, c.Plan, golden)
 	// The snapshot records the push counters for `shard status`.
-	ls, err := ReadLeaseState(c.Dir)
+	ls, _, err := ReadLeaseStateRetry(c.Dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -533,7 +533,7 @@ func TestStealCoordinatorFoldsSlotCosts(t *testing.T) {
 	if _, err := c.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	ls, err := ReadLeaseState(c.Dir)
+	ls, _, err := ReadLeaseStateRetry(c.Dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -712,7 +712,7 @@ func TestCostCapSeedsLeaseSize(t *testing.T) {
 // missing file reports os.IsNotExist.
 func TestLeaseStateRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := ReadLeaseState(dir); !os.IsNotExist(err) {
+	if _, _, err := ReadLeaseStateRetry(dir); !os.IsNotExist(err) {
 		t.Fatalf("missing lease state: err = %v, want IsNotExist", err)
 	}
 	plan, err := NewPlan(testSweep(), nil, 2)
@@ -722,7 +722,7 @@ func TestLeaseStateRoundTrip(t *testing.T) {
 	c := &StealCoordinator{Plan: plan, Dir: dir, Transport: &stubTransport{dir: dir, plan: plan, slots: 1}}
 	st := &stealRun{c: c, done: map[int]bool{0: true}, active: map[int]*lease{}, m: newCoordMetrics(nil)}
 	st.persistLocked()
-	ls, err := ReadLeaseState(dir)
+	ls, _, err := ReadLeaseStateRetry(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"context"
+	"fmt"
+
 	"netbandit/internal/bandit"
 	"netbandit/internal/core"
 	"netbandit/internal/graphs"
@@ -137,26 +140,35 @@ func registerAblationDensity() {
 			p = p.withDefaults(5000, 10)
 			const k = 60
 			densities := []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9}
-			cfg := Config{Horizon: p.Horizon, AnnounceHorizon: true,
-				Checkpoints: []int{p.Horizon}}
-			opts := ReplicateOptions{Reps: p.Reps, Seed: p.Seed, Workers: p.Workers, Progress: p.Progress}
-
-			finals := make([]float64, 0, len(densities))
-			stderrs := make([]float64, 0, len(densities))
-			covers := make([]float64, 0, len(densities))
+			envs := make([]EnvSpec, len(densities))
+			covers := make([]float64, len(densities))
 			for di, density := range densities {
 				env, err := newSingleEnv(k, density, p.Seed+uint64(di)*1000)
 				if err != nil {
 					return nil, err
 				}
-				agg, err := ReplicateSingle(env, bandit.SSO,
-					func(*rng.RNG) bandit.SinglePolicy { return core.NewDFLSSO() }, cfg, opts)
-				if err != nil {
-					return nil, err
-				}
-				finals = append(finals, agg.Final(CumPseudo))
-				stderrs = append(stderrs, agg.StdErr(CumPseudo)[len(agg.T)-1])
-				covers = append(covers, float64(coverNumber(env)))
+				envs[di] = FixedEnv(fmt.Sprintf("p=%.1f", density), bandit.SSO, env, nil)
+				covers[di] = float64(coverNumber(env))
+			}
+			sw := Sweep{
+				Envs:          envs,
+				Policies:      []PolicySpec{{Name: "DFL-SSO", Single: func(*rng.RNG) bandit.SinglePolicy { return core.NewDFLSSO() }}},
+				Config:        Config{Horizon: p.Horizon, AnnounceHorizon: true, Checkpoints: []int{p.Horizon}},
+				Reps:          p.Reps,
+				Seed:          p.Seed,
+				Workers:       p.Workers,
+				CommonStreams: true,
+				Progress:      p.Progress,
+			}
+			res, err := sw.Run(context.Background())
+			if err != nil {
+				return nil, err
+			}
+			finals := make([]float64, len(res.Cells))
+			stderrs := make([]float64, len(res.Cells))
+			for i, cell := range res.Cells {
+				finals[i] = cell.Agg.Final(CumPseudo)
+				stderrs[i] = cell.Agg.StdErr(CumPseudo)[len(cell.Agg.T)-1]
 			}
 			return &Table{
 				ID: "abl-density", Title: "Final DFL-SSO regret vs graph density",

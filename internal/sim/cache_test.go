@@ -81,30 +81,21 @@ func TestComboCacheCurvesIdentical(t *testing.T) {
 	}
 }
 
-// TestReplicateComboMatchesManualLoop pins the cache-wired ReplicateCombo
-// to a hand-rolled per-replication loop with the same stream derivation
-// and no sharing at all.
+// TestReplicateComboMatchesManualLoop pins a cache-wired combinatorial
+// CommonStreams sweep cell to a hand-rolled per-replication loop with the
+// same stream derivation and no sharing at all.
 func TestReplicateComboMatchesManualLoop(t *testing.T) {
 	env, set := comboFixture(t)
 	cfg := Config{Horizon: 300, AnnounceHorizon: true}
-	opts := ReplicateOptions{Reps: 4, Seed: 11, Workers: 3}
-	agg, err := ReplicateCombo(env, set, bandit.CSO,
-		func(*rng.RNG) bandit.ComboPolicy { return core.NewDFLCSO() }, cfg, opts)
+	const reps, seed = 4, 11
+	agg, err := replicate(FixedEnv("", bandit.CSO, env, set),
+		PolicySpec{Combo: func(*rng.RNG) bandit.ComboPolicy { return core.NewDFLCSO() }}, cfg, reps, seed, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := newAggregate("DFL-CSO", cfg.checkpoints())
-	for rep := 0; rep < opts.Reps; rep++ {
-		stream := rng.New(opts.Seed).Split(uint64(rep) + 1)
-		stream.Split(0) // factory stream, unused by DFL-CSO
-		s, err := play(NewComboRun(env, set, bandit.CSO, core.NewDFLCSO(), cfg, stream.Split(1), nil))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := want.add(s); err != nil {
-			t.Fatal(err)
-		}
-	}
+	want := manualReplicate(t, cfg, reps, seed, func(_, run *rng.RNG) (*Series, error) {
+		return play(NewComboRun(env, set, bandit.CSO, core.NewDFLCSO(), cfg, run, nil))
+	})
 	for _, m := range []Metric{CumPseudo, CumRealized, AvgPseudo, AvgRealized} {
 		got, exp := agg.Mean(m), want.Mean(m)
 		for i := range exp {

@@ -6,7 +6,7 @@
 //
 // # Layers
 //
-// The package is three layers, each built on the one below:
+// The package is two layers, the second built on the first:
 //
 //   - Runner (runner.go): Run steps one replication of any scenario round
 //     by round (NewSingleRun/NewComboRun, one constructor per policy
@@ -17,19 +17,20 @@
 //     revealed closure's (SSR, CSR). Rewards are drawn lazily — only the
 //     revealed closed neighbourhood or closure is sampled, via the
 //     counter-based streams of package rng — so a round costs
-//     O(observed), not O(K).
-//   - Replication (replicate.go): ReplicateSingle/ReplicateCombo run many
-//     replications of one cell on a bounded worker pool and fold the
-//     regret curves into an Aggregate. ComboCache shares per-cell
-//     precomputation (the optima under fixed means, the strategy relation
-//     graph) read-only across replications.
+//     O(observed), not O(K). ComboCache shares per-cell precomputation
+//     (the optima under fixed means, the strategy relation graph)
+//     read-only across replications.
 //   - Sweeps (sweep.go): a Sweep is the Cartesian product of environment,
-//     policy, and configuration axes. Run executes the whole grid on one
-//     shared pool with streaming aggregation (peak retained series is
-//     O(workers), enforced by a bounded reorder window) and fail-fast
-//     cancellation. RunCells executes any subset of the grid by global
-//     cell index, streaming each finished cell's aggregate to a callback
-//     — the execution primitive the shard subsystem distributes.
+//     policy, and configuration axes, each cell replicated Reps times and
+//     folded into an Aggregate (aggregate.go). Run executes the whole grid
+//     on one shared pool with streaming aggregation (peak retained series
+//     is O(workers), enforced by a bounded reorder window) and fail-fast
+//     cancellation. Replicating one policy panel on one environment — the
+//     shape of every figure of the paper — is a one-environment sweep with
+//     CommonStreams, so every policy faces the same reward draws. RunCells
+//     executes any subset of the grid by global cell index, streaming each
+//     finished cell's aggregate to a callback — the execution primitive
+//     the shard subsystem distributes.
 //
 // The named experiment registry (figures.go, Experiments/FindExperiment)
 // regenerates every figure of the paper's evaluation section on top of

@@ -77,9 +77,9 @@ func TestDisconnectedGraph(t *testing.T) {
 	g.MustAddEdge(6, 7)
 	means := []float64{0.2, 0.2, 0.2, 0.9, 0.3, 0.3, 0.3, 0.3} // arm 3 isolated
 	env := envFromMeans(t, g, means)
-	agg, err := ReplicateSingle(env, bandit.SSO,
-		func(*rng.RNG) bandit.SinglePolicy { return core.NewDFLSSO() },
-		Config{Horizon: 2000}, ReplicateOptions{Reps: 3, Seed: 33})
+	agg, err := replicate(FixedEnv("", bandit.SSO, env, nil),
+		PolicySpec{Single: func(*rng.RNG) bandit.SinglePolicy { return core.NewDFLSSO() }},
+		Config{Horizon: 2000}, 3, 33, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,8 +66,7 @@ func figureConfig(p Params) Config {
 // prebuilt environment — every contender shares one bounded worker pool —
 // and extracts the chosen metrics as named curves. CommonStreams keeps the
 // per-replication randomness identical across policies (and identical to a
-// per-policy ReplicateSingle/ReplicateCombo loop), so recorded figure
-// outputs are unchanged.
+// per-policy replication loop), so recorded figure outputs are unchanged.
 func figureCurves(envSpec EnvSpec, policies []PolicySpec, metrics []Metric, metricSuffix bool, p Params) ([]Curve, []int, error) {
 	cfg := figureConfig(p)
 	sw := Sweep{

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 
 	"netbandit/internal/armdist"
@@ -46,23 +47,9 @@ func registerHomophily() {
 				{"independent", indMeans},
 				{"homophilous", homMeans},
 			}
-			factories := []struct {
-				label string
-				mk    SingleFactory
-			}{
-				{"DFL-SSO", func(*rng.RNG) bandit.SinglePolicy { return core.NewDFLSSO() }},
-				{"DFL-SSO-hop", func(*rng.RNG) bandit.SinglePolicy { return core.NewDFLSSOGreedyHop() }},
-			}
-
-			cfg := Config{
-				Horizon:         p.Horizon,
-				Checkpoints:     DefaultCheckpoints(p.Horizon, p.Points),
-				AnnounceHorizon: true,
-			}
-			opts := ReplicateOptions{Reps: p.Reps, Seed: p.Seed, Workers: p.Workers, Progress: p.Progress}
-
-			var curves []Curve
-			for _, w := range workloads {
+			envs := make([]EnvSpec, len(workloads))
+			corrs := make([]float64, len(workloads))
+			for i, w := range workloads {
 				dists, err := armdist.BernoulliArms(w.means)
 				if err != nil {
 					return nil, err
@@ -71,17 +58,39 @@ func registerHomophily() {
 				if err != nil {
 					return nil, err
 				}
-				corr := bandit.NeighborhoodCorrelation(g, w.means)
-				for _, f := range factories {
-					agg, err := ReplicateSingle(env, bandit.SSO, f.mk, cfg, opts)
-					if err != nil {
-						return nil, err
-					}
-					curves = append(curves, Curve{
-						Name:   fmt.Sprintf("%s / %s (corr=%.2f)", f.label, w.label, corr),
-						Mean:   agg.Mean(CumPseudo),
-						StdErr: agg.StdErr(CumPseudo),
-					})
+				envs[i] = FixedEnv(w.label, bandit.SSO, env, nil)
+				corrs[i] = bandit.NeighborhoodCorrelation(g, w.means)
+			}
+
+			cfg := Config{
+				Horizon:         p.Horizon,
+				Checkpoints:     DefaultCheckpoints(p.Horizon, p.Points),
+				AnnounceHorizon: true,
+			}
+			// Cells run env-major, so curves come out workload by workload.
+			sw := Sweep{
+				Envs: envs,
+				Policies: []PolicySpec{
+					{Name: "DFL-SSO", Single: func(*rng.RNG) bandit.SinglePolicy { return core.NewDFLSSO() }},
+					{Name: "DFL-SSO-hop", Single: func(*rng.RNG) bandit.SinglePolicy { return core.NewDFLSSOGreedyHop() }},
+				},
+				Config:        cfg,
+				Reps:          p.Reps,
+				Seed:          p.Seed,
+				Workers:       p.Workers,
+				CommonStreams: true,
+				Progress:      p.Progress,
+			}
+			res, err := sw.Run(context.Background())
+			if err != nil {
+				return nil, err
+			}
+			curves := make([]Curve, len(res.Cells))
+			for i, cell := range res.Cells {
+				curves[i] = Curve{
+					Name:   fmt.Sprintf("%s / %s (corr=%.2f)", cell.Policy, cell.Env, corrs[i/len(sw.Policies)]),
+					Mean:   cell.Agg.Mean(CumPseudo),
+					StdErr: cell.Agg.StdErr(CumPseudo),
 				}
 			}
 			return &Table{

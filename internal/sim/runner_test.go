@@ -143,14 +143,14 @@ func TestRunSingleDeterministic(t *testing.T) {
 func TestDFLSSOBeatsRandomIntegration(t *testing.T) {
 	env := testEnv(t, 20, 0.3, 7)
 	cfg := Config{Horizon: 2000, AnnounceHorizon: true}
-	opts := ReplicateOptions{Reps: 5, Seed: 8}
-	dfl, err := ReplicateSingle(env, bandit.SSO,
-		func(*rng.RNG) bandit.SinglePolicy { return core.NewDFLSSO() }, cfg, opts)
+	reps, seed := 5, uint64(8)
+	dfl, err := replicate(FixedEnv("", bandit.SSO, env, nil),
+		PolicySpec{Single: func(*rng.RNG) bandit.SinglePolicy { return core.NewDFLSSO() }}, cfg, reps, seed, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rnd, err := ReplicateSingle(env, bandit.SSO,
-		func(r *rng.RNG) bandit.SinglePolicy { return policy.NewRandom(r) }, cfg, opts)
+	rnd, err := replicate(FixedEnv("", bandit.SSO, env, nil),
+		PolicySpec{Single: func(r *rng.RNG) bandit.SinglePolicy { return policy.NewRandom(r) }}, cfg, reps, seed, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,14 +165,14 @@ func TestDFLSSOBeatsMOSSIntegration(t *testing.T) {
 	// below MOSS on a reasonably dense 100-arm instance.
 	env := testEnv(t, 50, 0.3, 9)
 	cfg := Config{Horizon: 3000, AnnounceHorizon: true}
-	opts := ReplicateOptions{Reps: 5, Seed: 10}
-	dfl, err := ReplicateSingle(env, bandit.SSO,
-		func(*rng.RNG) bandit.SinglePolicy { return core.NewDFLSSO() }, cfg, opts)
+	reps, seed := 5, uint64(10)
+	dfl, err := replicate(FixedEnv("", bandit.SSO, env, nil),
+		PolicySpec{Single: func(*rng.RNG) bandit.SinglePolicy { return core.NewDFLSSO() }}, cfg, reps, seed, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	moss, err := ReplicateSingle(env, bandit.SSO,
-		func(*rng.RNG) bandit.SinglePolicy { return policy.NewMOSS() }, cfg, opts)
+	moss, err := replicate(FixedEnv("", bandit.SSO, env, nil),
+		PolicySpec{Single: func(*rng.RNG) bandit.SinglePolicy { return policy.NewMOSS() }}, cfg, reps, seed, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,9 +187,9 @@ func TestZeroRegretTrendSSR(t *testing.T) {
 	// checked at modest scale).
 	env := testEnv(t, 20, 0.3, 11)
 	cfg := Config{Horizon: 4000, AnnounceHorizon: true}
-	opts := ReplicateOptions{Reps: 5, Seed: 12}
-	agg, err := ReplicateSingle(env, bandit.SSR,
-		func(*rng.RNG) bandit.SinglePolicy { return core.NewDFLSSR() }, cfg, opts)
+	reps, seed := 5, uint64(12)
+	agg, err := replicate(FixedEnv("", bandit.SSR, env, nil),
+		PolicySpec{Single: func(*rng.RNG) bandit.SinglePolicy { return core.NewDFLSSR() }}, cfg, reps, seed, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,9 +208,9 @@ func TestZeroRegretTrendCSO(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{Horizon: 4000, AnnounceHorizon: true}
-	opts := ReplicateOptions{Reps: 5, Seed: 14}
-	agg, err := ReplicateCombo(env, set, bandit.CSO,
-		func(*rng.RNG) bandit.ComboPolicy { return core.NewDFLCSO() }, cfg, opts)
+	reps, seed := 5, uint64(14)
+	agg, err := replicate(FixedEnv("", bandit.CSO, env, set),
+		PolicySpec{Combo: func(*rng.RNG) bandit.ComboPolicy { return core.NewDFLCSO() }}, cfg, reps, seed, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,9 +227,9 @@ func TestZeroRegretTrendCSR(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{Horizon: 4000, AnnounceHorizon: true}
-	opts := ReplicateOptions{Reps: 5, Seed: 16}
-	agg, err := ReplicateCombo(env, set, bandit.CSR,
-		func(*rng.RNG) bandit.ComboPolicy { return core.NewDFLCSR() }, cfg, opts)
+	reps, seed := 5, uint64(16)
+	agg, err := replicate(FixedEnv("", bandit.CSR, env, set),
+		PolicySpec{Combo: func(*rng.RNG) bandit.ComboPolicy { return core.NewDFLCSR() }}, cfg, reps, seed, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,9 +243,9 @@ func TestReplicateDeterministicAcrossWorkerCounts(t *testing.T) {
 	env := testEnv(t, 10, 0.4, 17)
 	cfg := Config{Horizon: 500}
 	mk := func(workers int) *Aggregate {
-		agg, err := ReplicateSingle(env, bandit.SSO,
-			func(r *rng.RNG) bandit.SinglePolicy { return policy.NewThompson(r) },
-			cfg, ReplicateOptions{Reps: 6, Seed: 18, Workers: workers})
+		agg, err := replicate(FixedEnv("", bandit.SSO, env, nil),
+			PolicySpec{Single: func(r *rng.RNG) bandit.SinglePolicy { return policy.NewThompson(r) }},
+			cfg, 6, 18, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,9 +263,9 @@ func TestReplicateDeterministicAcrossWorkerCounts(t *testing.T) {
 
 func TestReplicateOptionsValidate(t *testing.T) {
 	env := testEnv(t, 5, 0.3, 19)
-	_, err := ReplicateSingle(env, bandit.SSO,
-		func(*rng.RNG) bandit.SinglePolicy { return core.NewDFLSSO() },
-		Config{Horizon: 10}, ReplicateOptions{Reps: 0})
+	_, err := replicate(FixedEnv("", bandit.SSO, env, nil),
+		PolicySpec{Single: func(*rng.RNG) bandit.SinglePolicy { return core.NewDFLSSO() }},
+		Config{Horizon: 10}, 0, 0, 0)
 	if err == nil {
 		t.Fatal("zero reps accepted")
 	}

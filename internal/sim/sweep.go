@@ -211,9 +211,9 @@ type Sweep struct {
 	// number of retained Series. 0 means 2×Workers.
 	Window int
 	// CommonStreams reuses the same replication streams in every cell
-	// (common random numbers: paired comparisons across cells, and the
-	// derivation ReplicateSingle/ReplicateCombo use). Otherwise each cell
-	// gets an independent stream family.
+	// (common random numbers: paired comparisons across cells, the
+	// derivation every figure and ad-hoc `nbandit` run use). Otherwise
+	// each cell gets an independent stream family.
 	CommonStreams bool
 	// Progress, when non-nil, receives one event per folded replication.
 	Progress ProgressFunc

@@ -141,8 +141,8 @@ func TestReplicateFailFast(t *testing.T) {
 	// One worker: dispatch order is replication order, so the 4th factory
 	// call is exactly replication 3. The bounded window then caps total
 	// dispatch at (3 folded) + window, far below 64.
-	_, err := ReplicateSingle(env, bandit.SSO, factory,
-		Config{Horizon: 100}, ReplicateOptions{Reps: 64, Seed: 42, Workers: 1})
+	_, err := replicate(FixedEnv("", bandit.SSO, env, nil), PolicySpec{Single: factory},
+		Config{Horizon: 100}, 64, 42, 1)
 	if err == nil {
 		t.Fatal("erroring replication reported no error")
 	}
@@ -198,17 +198,14 @@ func TestSweepContextCancellation(t *testing.T) {
 }
 
 // TestSweepMatchesReplicate asserts that a common-streams sweep cell is
-// bit-identical to the same experiment run through ReplicateSingle — the
-// compatibility contract the figure registry relies on.
+// bit-identical to a hand-written replication loop — the seed derivation
+// the paper's figures and every example rely on.
 func TestSweepMatchesReplicate(t *testing.T) {
 	env := testEnv(t, 10, 0.4, 51)
 	cfg := Config{Horizon: 300, AnnounceHorizon: true}
-	opts := ReplicateOptions{Reps: 5, Seed: 52, Workers: 3}
-	direct, err := ReplicateSingle(env, bandit.SSO,
-		func(*rng.RNG) bandit.SinglePolicy { return core.NewDFLSSO() }, cfg, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	direct := manualReplicate(t, cfg, 5, 52, func(pol, run *rng.RNG) (*Series, error) {
+		return play(NewSingleRun(env, bandit.SSO, core.NewDFLSSO(), cfg, run))
+	})
 	sw := Sweep{
 		Envs: []EnvSpec{FixedEnv("", bandit.SSO, env, nil)},
 		Policies: []PolicySpec{
@@ -232,8 +229,8 @@ func TestSweepMatchesReplicate(t *testing.T) {
 	}
 }
 
-// TestSweepGoldenFig3a asserts the rewired figure registry reproduces the
-// exact table the old per-call ReplicateSingle loop produced.
+// TestSweepGoldenFig3a asserts the figure registry reproduces the exact
+// table a per-policy replication loop produces.
 func TestSweepGoldenFig3a(t *testing.T) {
 	p := Params{Horizon: 800, Reps: 3, Seed: 321, Points: 20}
 	exp, ok := FindExperiment("fig3a")
@@ -245,21 +242,19 @@ func TestSweepGoldenFig3a(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The pre-sweep implementation: one ReplicateSingle call per factory,
+	// The pre-sweep implementation: one replication loop per factory,
 	// same environment, same seed, curves in factory order.
 	env, err := newSingleEnv(singleArms, sparseP, p.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := figureConfig(p)
-	opts := ReplicateOptions{Reps: p.Reps, Seed: p.Seed, Workers: p.Workers}
 	factories, names := fig3Factories()
 	var want []Curve
 	for fi, factory := range factories {
-		agg, err := ReplicateSingle(env, bandit.SSO, factory, cfg, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		agg := manualReplicate(t, cfg, p.Reps, p.Seed, func(pol, run *rng.RNG) (*Series, error) {
+			return play(NewSingleRun(env, bandit.SSO, factory(pol), cfg, run))
+		})
 		want = append(want, Curve{Name: names[fi], Mean: agg.Mean(AvgPseudo), StdErr: agg.StdErr(AvgPseudo)})
 	}
 
@@ -397,4 +392,35 @@ func TestSweepExportRoundTrip(t *testing.T) {
 	if !strings.Contains(summary, "p=0.6/Thompson") {
 		t.Fatalf("summary missing cells:\n%s", summary)
 	}
+}
+
+// replicate runs one policy on one environment axis as a one-cell
+// CommonStreams sweep — the shape of every paper figure and example.
+func replicate(env EnvSpec, pol PolicySpec, cfg Config, reps int, seed uint64, workers int) (*Aggregate, error) {
+	sw := Sweep{Envs: []EnvSpec{env}, Policies: []PolicySpec{pol}, Config: cfg,
+		Reps: reps, Seed: seed, Workers: workers, CommonStreams: true}
+	res, err := sw.Run(context.Background())
+	if err != nil {
+		return nil, err
+	}
+	return res.Cells[0].Agg, nil
+}
+
+// manualReplicate is the reference a CommonStreams cell must match bit for
+// bit: replication rep builds its policy from rng.New(seed).Split(rep+1)
+// .Split(0) and runs on .Split(1), and series fold in replication order.
+func manualReplicate(t *testing.T, cfg Config, reps int, seed uint64, run func(pol, run *rng.RNG) (*Series, error)) *Aggregate {
+	t.Helper()
+	agg := newAggregate("", cfg.checkpoints())
+	for rep := 0; rep < reps; rep++ {
+		stream := rng.New(seed).Split(uint64(rep) + 1)
+		s, err := run(stream.Split(0), stream.Split(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := agg.add(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return agg
 }

@@ -2,7 +2,7 @@ package stats
 
 import "math"
 
-// HoeffdingRadius returns the one-sided Hoeffding confidence radius for the
+// hoeffdingRadius returns the one-sided Hoeffding confidence radius for the
 // mean of n i.i.d. samples supported on an interval of width `rangeWidth`
 // at confidence 1-delta:
 //
@@ -10,7 +10,7 @@ import "math"
 //
 // It returns +Inf when n == 0 (an unobserved quantity is unbounded) and
 // panics when delta is outside (0, 1) or rangeWidth < 0.
-func HoeffdingRadius(n int64, rangeWidth, delta float64) float64 {
+func hoeffdingRadius(n int64, rangeWidth, delta float64) float64 {
 	if delta <= 0 || delta >= 1 {
 		panic("stats: Hoeffding delta must be in (0,1)")
 	}
@@ -23,10 +23,10 @@ func HoeffdingRadius(n int64, rangeWidth, delta float64) float64 {
 	return rangeWidth * math.Sqrt(math.Log(1/delta)/(2*float64(n)))
 }
 
-// HoeffdingTail returns the Hoeffding upper bound on
+// hoeffdingTail returns the Hoeffding upper bound on
 // P(sum of n samples deviates from its mean by at least a), for samples
 // supported on [0, 1]: exp(-2 a² / n). Returns 1 when n == 0.
-func HoeffdingTail(n int64, a float64) float64 {
+func hoeffdingTail(n int64, a float64) float64 {
 	if n == 0 {
 		return 1
 	}
@@ -63,9 +63,9 @@ func MOSSRadius(horizonOverK float64, n int64) float64 {
 	return math.Sqrt(logTerm / float64(n))
 }
 
-// LogPlus returns max(ln(x), 0), the truncated logarithm used throughout
-// the paper's index definitions. LogPlus of a non-positive x is 0.
-func LogPlus(x float64) float64 {
+// logPlus returns max(ln(x), 0), the truncated logarithm used throughout
+// the paper's index definitions. logPlus of a non-positive x is 0.
+func logPlus(x float64) float64 {
 	if x <= 1 {
 		return 0
 	}

@@ -7,16 +7,16 @@ import (
 )
 
 func TestHoeffdingRadius(t *testing.T) {
-	if !math.IsInf(HoeffdingRadius(0, 1, 0.05), 1) {
+	if !math.IsInf(hoeffdingRadius(0, 1, 0.05), 1) {
 		t.Fatal("radius with no samples should be +Inf")
 	}
 	// ln(1/0.05)/(2*100) under sqrt.
 	want := math.Sqrt(math.Log(1/0.05) / 200)
-	if got := HoeffdingRadius(100, 1, 0.05); !almostEqual(got, want, 1e-12) {
+	if got := hoeffdingRadius(100, 1, 0.05); !almostEqual(got, want, 1e-12) {
 		t.Fatalf("radius = %v, want %v", got, want)
 	}
 	// Doubling the support width doubles the radius.
-	if got := HoeffdingRadius(100, 2, 0.05); !almostEqual(got, 2*want, 1e-12) {
+	if got := hoeffdingRadius(100, 2, 0.05); !almostEqual(got, 2*want, 1e-12) {
 		t.Fatalf("scaled radius = %v, want %v", got, 2*want)
 	}
 }
@@ -35,20 +35,20 @@ func TestHoeffdingRadiusPanics(t *testing.T) {
 					t.Errorf("%s: no panic", tc.name)
 				}
 			}()
-			HoeffdingRadius(1, tc.width, tc.delta)
+			hoeffdingRadius(1, tc.width, tc.delta)
 		}()
 	}
 }
 
 func TestHoeffdingTail(t *testing.T) {
-	if got := HoeffdingTail(0, 1); got != 1 {
+	if got := hoeffdingTail(0, 1); got != 1 {
 		t.Fatalf("tail with n=0 should be 1, got %v", got)
 	}
-	if got := HoeffdingTail(10, 0); got != 1 {
+	if got := hoeffdingTail(10, 0); got != 1 {
 		t.Fatalf("tail with a=0 should be 1, got %v", got)
 	}
 	want := math.Exp(-2.0 * 4 / 10)
-	if got := HoeffdingTail(10, 2); !almostEqual(got, want, 1e-12) {
+	if got := hoeffdingTail(10, 2); !almostEqual(got, want, 1e-12) {
 		t.Fatalf("tail = %v, want %v", got, want)
 	}
 }
@@ -68,7 +68,7 @@ func TestHoeffdingTailMonotoneProperty(t *testing.T) {
 		if a1 > a2 {
 			a1, a2 = a2, a1
 		}
-		t1, t2 := HoeffdingTail(100, a1), HoeffdingTail(100, a2)
+		t1, t2 := hoeffdingTail(100, a1), hoeffdingTail(100, a2)
 		return t1 >= t2 && t2 > 0 && t1 <= 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -125,8 +125,8 @@ func TestLogPlus(t *testing.T) {
 		{math.E, 1}, {math.E * math.E, 2},
 	}
 	for _, tc := range tests {
-		if got := LogPlus(tc.x); !almostEqual(got, tc.want, 1e-12) {
-			t.Errorf("LogPlus(%v) = %v, want %v", tc.x, got, tc.want)
+		if got := logPlus(tc.x); !almostEqual(got, tc.want, 1e-12) {
+			t.Errorf("logPlus(%v) = %v, want %v", tc.x, got, tc.want)
 		}
 	}
 }

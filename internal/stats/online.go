@@ -97,9 +97,9 @@ type EMA struct {
 	init  bool
 }
 
-// NewEMA returns an EMA with the given smoothing factor. It panics unless
+// newEMA returns an EMA with the given smoothing factor. It panics unless
 // 0 < alpha <= 1.
-func NewEMA(alpha float64) *EMA {
+func newEMA(alpha float64) *EMA {
 	if alpha <= 0 || alpha > 1 {
 		panic("stats: EMA alpha must be in (0,1]")
 	}
@@ -127,9 +127,9 @@ type Window struct {
 	sum  float64
 }
 
-// NewWindow returns a sliding window over the last size samples. It panics
+// newWindow returns a sliding window over the last size samples. It panics
 // if size <= 0.
-func NewWindow(size int) *Window {
+func newWindow(size int) *Window {
 	if size <= 0 {
 		panic("stats: window size must be positive")
 	}

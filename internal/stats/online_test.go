@@ -112,7 +112,7 @@ func TestWelfordReset(t *testing.T) {
 }
 
 func TestEMA(t *testing.T) {
-	e := NewEMA(0.5)
+	e := newEMA(0.5)
 	if e.Value() != 0 {
 		t.Fatal("EMA before first Add should be 0")
 	}
@@ -131,16 +131,16 @@ func TestEMAPanics(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("NewEMA(%v) did not panic", alpha)
+					t.Errorf("newEMA(%v) did not panic", alpha)
 				}
 			}()
-			NewEMA(alpha)
+			newEMA(alpha)
 		}()
 	}
 }
 
 func TestWindow(t *testing.T) {
-	w := NewWindow(3)
+	w := newWindow(3)
 	if w.Mean() != 0 || w.Len() != 0 {
 		t.Fatal("empty window should report zeros")
 	}
@@ -159,8 +159,8 @@ func TestWindow(t *testing.T) {
 func TestWindowPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("NewWindow(0) did not panic")
+			t.Fatal("newWindow(0) did not panic")
 		}
 	}()
-	NewWindow(0)
+	newWindow(0)
 }

@@ -19,8 +19,8 @@ type P2 struct {
 	ready   bool
 }
 
-// NewP2 returns a P² estimator for the p-quantile, 0 < p < 1.
-func NewP2(p float64) *P2 {
+// newP2 returns a P² estimator for the p-quantile, 0 < p < 1.
+func newP2(p float64) *P2 {
 	if p <= 0 || p >= 1 {
 		panic(fmt.Sprintf("stats: P2 quantile %v outside (0,1)", p))
 	}
@@ -129,9 +129,9 @@ type Histogram struct {
 	total    int64
 }
 
-// NewHistogram returns a histogram over [lo, hi) with the given number of
+// newHistogram returns a histogram over [lo, hi) with the given number of
 // equal-width bins. It panics if bins <= 0 or hi <= lo.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
+func newHistogram(lo, hi float64, bins int) *Histogram {
 	if bins <= 0 {
 		panic("stats: histogram needs at least one bin")
 	}

@@ -13,16 +13,16 @@ func TestP2PanicsOnBadQuantile(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("NewP2(%v) did not panic", p)
+					t.Errorf("newP2(%v) did not panic", p)
 				}
 			}()
-			NewP2(p)
+			newP2(p)
 		}()
 	}
 }
 
 func TestP2SmallSampleFallback(t *testing.T) {
-	e := NewP2(0.5)
+	e := newP2(0.5)
 	if e.Value() != 0 {
 		t.Fatal("empty estimator should return 0")
 	}
@@ -38,7 +38,7 @@ func TestP2SmallSampleFallback(t *testing.T) {
 func TestP2AgainstExactQuantiles(t *testing.T) {
 	r := rng.New(10)
 	for _, p := range []float64{0.1, 0.5, 0.9} {
-		e := NewP2(p)
+		e := newP2(p)
 		const n = 50000
 		xs := make([]float64, n)
 		for i := range xs {
@@ -55,7 +55,7 @@ func TestP2AgainstExactQuantiles(t *testing.T) {
 
 func TestP2UniformMedian(t *testing.T) {
 	r := rng.New(11)
-	e := NewP2(0.5)
+	e := newP2(0.5)
 	for i := 0; i < 20000; i++ {
 		e.Add(r.Float64())
 	}
@@ -65,7 +65,7 @@ func TestP2UniformMedian(t *testing.T) {
 }
 
 func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
+	h := newHistogram(0, 10, 5)
 	for _, x := range []float64{-1, 0, 1.9, 2, 5, 9.99, 10, 42} {
 		h.Add(x)
 	}
@@ -103,13 +103,13 @@ func TestHistogramPanics(t *testing.T) {
 					t.Errorf("%s: no panic", tc.name)
 				}
 			}()
-			NewHistogram(tc.lo, tc.hi, tc.bins)
+			newHistogram(tc.lo, tc.hi, tc.bins)
 		}()
 	}
 }
 
 func TestHistogramCountsCopied(t *testing.T) {
-	h := NewHistogram(0, 1, 2)
+	h := newHistogram(0, 1, 2)
 	h.Add(0.1)
 	c := h.Counts()
 	c[0] = 99

@@ -57,7 +57,7 @@ func closureScore(s *Set, x int, w []float64) (infCount int, finiteSum float64) 
 // GreedyOracle approximately maximises the closure weight by greedy
 // marginal-gain selection of component arms — the classical (1-1/e)
 // approximation for weighted max coverage. It requires the family to
-// contain the greedily built arm set (true for TopM/UpToM families); when
+// contain the greedily built arm set (true for top-m and up-to-m families); when
 // the built set is not feasible it falls back to exact enumeration, so the
 // result is always a valid strategy index.
 type GreedyOracle struct {

@@ -133,3 +133,12 @@ func TestOracleDominanceProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestOracleNames(t *testing.T) {
+	if got := (ExactOracle{}).Name(); got != "exact" {
+		t.Fatalf("exact oracle name = %q", got)
+	}
+	if got := (GreedyOracle{Size: 2}).Name(); got != "greedy2" {
+		t.Fatalf("greedy oracle name = %q", got)
+	}
+}

@@ -174,12 +174,12 @@ func TopM(k, m int, g *graphs.Graph) (*Set, error) {
 	return s, nil
 }
 
-// UpToM enumerates all non-empty subsets with at most m arms — the paper's
+// upToM enumerates all non-empty subsets with at most m arms — the paper's
 // relaxed constraint where a strategy "may consist of less than M random
 // variables".
-func UpToM(k, m int, g *graphs.Graph) (*Set, error) {
+func upToM(k, m int, g *graphs.Graph) (*Set, error) {
 	if m <= 0 || m > k {
-		return nil, fmt.Errorf("strategy: UpToM needs 0 < m <= k, got m=%d k=%d", m, k)
+		return nil, fmt.Errorf("strategy: upToM needs 0 < m <= k, got m=%d k=%d", m, k)
 	}
 	total := 0
 	for size := 1; size <= m; size++ {

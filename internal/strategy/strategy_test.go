@@ -129,7 +129,7 @@ func TestTopM(t *testing.T) {
 }
 
 func TestUpToM(t *testing.T) {
-	s, err := UpToM(4, 2, nil)
+	s, err := upToM(4, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

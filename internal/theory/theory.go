@@ -31,16 +31,16 @@ func Theorem1Bound(n, k, cliqueCover int) float64 {
 	return 15.94*math.Sqrt(nf*kf) + 0.74*float64(cliqueCover)*math.Sqrt(nf/kf)
 }
 
-// Theorem2Bound is the DFL-CSO bound, Theorem 1 applied to the com-arm
+// theorem2Bound is the DFL-CSO bound, Theorem 1 applied to the com-arm
 // conversion: R_n <= 15.94 sqrt(n|F|) + 0.74 C sqrt(n/|F|), with C a
 // clique cover of the strategy relation graph's large-gap subgraph.
-func Theorem2Bound(n, f, cliqueCover int) float64 {
+func theorem2Bound(n, f, cliqueCover int) float64 {
 	return Theorem1Bound(n, f, cliqueCover)
 }
 
-// Theorem3Bound is the DFL-SSR bound: R_n <= 49 K sqrt(nK) — the MOSS
+// theorem3Bound is the DFL-SSR bound: R_n <= 49 K sqrt(nK) — the MOSS
 // bound scaled by K because side rewards live on [0, K] rather than [0, 1].
-func Theorem3Bound(n, k int) float64 {
+func theorem3Bound(n, k int) float64 {
 	mustPositive(n, k)
 	return 49 * float64(k) * math.Sqrt(float64(n)*float64(k))
 }
@@ -65,12 +65,12 @@ func Theorem4Bound(n, k, maxClosure int) float64 {
 	return term1 + term2 + term3
 }
 
-// UCBNBoundGap is the leading term of the distribution-dependent UCB-N
+// ucbnBoundGap is the leading term of the distribution-dependent UCB-N
 // guarantee from prior work (Caron et al. 2012): sum over a clique cover
 // of (8 max_i∈c Δ_i / Δ_min,c²) ln n + O(1). It is provided to exhibit the
 // Δ dependence the paper's distribution-free bounds remove: as
 // minGap → 0 this bound diverges while Theorem 1 stays finite.
-func UCBNBoundGap(n, cliqueCover int, maxGap, minGap float64) float64 {
+func ucbnBoundGap(n, cliqueCover int, maxGap, minGap float64) float64 {
 	mustPositive(n, 1)
 	if cliqueCover < 0 || maxGap < 0 {
 		panic("theory: invalid UCB-N bound parameters")
@@ -81,11 +81,11 @@ func UCBNBoundGap(n, cliqueCover int, maxGap, minGap float64) float64 {
 	return float64(cliqueCover) * 8 * maxGap / (minGap * minGap) * math.Log(float64(n))
 }
 
-// ZeroRegretHorizon returns the smallest horizon n at which the given
+// zeroRegretHorizon returns the smallest horizon n at which the given
 // bound divided by n falls below eps — i.e. when the policy's guaranteed
 // average regret enters the eps-optimal regime. It returns 0 when no such
 // horizon exists below maxN.
-func ZeroRegretHorizon(bound func(n int) float64, eps float64, maxN int) int {
+func zeroRegretHorizon(bound func(n int) float64, eps float64, maxN int) int {
 	if eps <= 0 {
 		panic("theory: eps must be positive")
 	}

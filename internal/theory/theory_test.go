@@ -39,18 +39,18 @@ func TestTheorem1BelowMOSS(t *testing.T) {
 }
 
 func TestTheorem2MatchesTheorem1Form(t *testing.T) {
-	if Theorem2Bound(5000, 190, 12) != Theorem1Bound(5000, 190, 12) {
+	if theorem2Bound(5000, 190, 12) != Theorem1Bound(5000, 190, 12) {
 		t.Fatal("Theorem 2 must be Theorem 1 over com-arms")
 	}
 }
 
 func TestTheorem3Bound(t *testing.T) {
 	want := 49.0 * 100 * math.Sqrt(10000*100)
-	if got := Theorem3Bound(10000, 100); math.Abs(got-want) > 1e-6 {
+	if got := theorem3Bound(10000, 100); math.Abs(got-want) > 1e-6 {
 		t.Fatalf("bound = %v, want %v", got, want)
 	}
 	// K times the MOSS bound, exactly.
-	if got := Theorem3Bound(400, 7) / MOSSBound(400, 7); math.Abs(got-7) > 1e-9 {
+	if got := theorem3Bound(400, 7) / MOSSBound(400, 7); math.Abs(got-7) > 1e-9 {
 		t.Fatalf("Theorem3/MOSS ratio = %v, want 7", got)
 	}
 }
@@ -69,15 +69,15 @@ func TestTheorem4BoundPositiveAndSublinear(t *testing.T) {
 }
 
 func TestUCBNBoundGapDivergesAsGapVanishes(t *testing.T) {
-	finite := UCBNBoundGap(10000, 5, 0.5, 0.1)
+	finite := ucbnBoundGap(10000, 5, 0.5, 0.1)
 	if math.IsInf(finite, 1) || finite <= 0 {
 		t.Fatalf("finite-gap bound = %v", finite)
 	}
-	if !math.IsInf(UCBNBoundGap(10000, 5, 0.5, 0), 1) {
+	if !math.IsInf(ucbnBoundGap(10000, 5, 0.5, 0), 1) {
 		t.Fatal("zero-gap bound must diverge")
 	}
 	// Smaller gap, bigger bound — the Δ-dependence the paper removes.
-	if UCBNBoundGap(10000, 5, 0.5, 0.01) <= finite {
+	if ucbnBoundGap(10000, 5, 0.5, 0.01) <= finite {
 		t.Fatal("bound must increase as the gap shrinks")
 	}
 }
@@ -85,7 +85,7 @@ func TestUCBNBoundGapDivergesAsGapVanishes(t *testing.T) {
 func TestZeroRegretHorizon(t *testing.T) {
 	// For Theorem 1 at K=100, C=20: find when guaranteed avg regret < 0.5.
 	bound := func(n int) float64 { return Theorem1Bound(n, 100, 20) }
-	h := ZeroRegretHorizon(bound, 0.5, 1<<30)
+	h := zeroRegretHorizon(bound, 0.5, 1<<30)
 	if h == 0 {
 		t.Fatal("horizon not found")
 	}
@@ -96,7 +96,7 @@ func TestZeroRegretHorizon(t *testing.T) {
 		t.Fatal("reported horizon is not minimal")
 	}
 	// Unreachable eps within maxN.
-	if got := ZeroRegretHorizon(bound, 1e-12, 1000); got != 0 {
+	if got := zeroRegretHorizon(bound, 1e-12, 1000); got != 0 {
 		t.Fatalf("impossible horizon = %d, want 0", got)
 	}
 }
@@ -106,9 +106,9 @@ func TestPanicsOnInvalidInput(t *testing.T) {
 		"MOSS n=0":          func() { MOSSBound(0, 5) },
 		"T1 k=0":            func() { Theorem1Bound(10, 0, 1) },
 		"T1 negative cover": func() { Theorem1Bound(10, 5, -1) },
-		"T3 n=0":            func() { Theorem3Bound(0, 5) },
+		"T3 n=0":            func() { theorem3Bound(0, 5) },
 		"T4 closure=0":      func() { Theorem4Bound(10, 5, 0) },
-		"horizon eps=0":     func() { ZeroRegretHorizon(func(int) float64 { return 1 }, 0, 10) },
+		"horizon eps=0":     func() { zeroRegretHorizon(func(int) float64 { return 1 }, 0, 10) },
 	} {
 		func() {
 			defer func() {
@@ -130,7 +130,7 @@ func TestBoundsMonotoneProperty(t *testing.T) {
 		}
 		return MOSSBound(n1, 50) <= MOSSBound(n2, 50) &&
 			Theorem1Bound(n1, 50, 10) <= Theorem1Bound(n2, 50, 10) &&
-			Theorem3Bound(n1, 50) <= Theorem3Bound(n2, 50) &&
+			theorem3Bound(n1, 50) <= theorem3Bound(n2, 50) &&
 			Theorem4Bound(n1, 20, 8) <= Theorem4Bound(n2, 20, 8)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {

@@ -110,8 +110,8 @@ type JSONLWriter struct {
 	err error
 }
 
-// NewJSONLWriter returns a writer emitting JSON lines to w.
-func NewJSONLWriter(w io.Writer) *JSONLWriter {
+// newJSONLWriter returns a writer emitting JSON lines to w.
+func newJSONLWriter(w io.Writer) *JSONLWriter {
 	return &JSONLWriter{enc: json.NewEncoder(w)}
 }
 
@@ -136,9 +136,7 @@ func (j *JSONLWriter) Err() error {
 
 var _ Observer = (*JSONLWriter)(nil)
 
-// Multi fans events out to several observers in order.
-func Multi(obs ...Observer) Observer { return multi(obs) }
-
+// multi fans events out to several observers in order.
 type multi []Observer
 
 func (m multi) ObserveRound(e Event) {

@@ -72,7 +72,7 @@ func TestRecorderPlayCounts(t *testing.T) {
 
 func TestJSONLWriter(t *testing.T) {
 	var sb strings.Builder
-	w := NewJSONLWriter(&sb)
+	w := newJSONLWriter(&sb)
 	w.ObserveRound(event(1, 4))
 	w.ObserveRound(event(2, 5))
 	if err := w.Err(); err != nil {
@@ -102,7 +102,7 @@ type failErr struct{}
 func (*failErr) Error() string { return "sink failed" }
 
 func TestJSONLWriterError(t *testing.T) {
-	w := NewJSONLWriter(failWriter{})
+	w := newJSONLWriter(failWriter{})
 	w.ObserveRound(event(1, 0))
 	if w.Err() == nil {
 		t.Fatal("write error swallowed")
@@ -113,7 +113,7 @@ func TestJSONLWriterError(t *testing.T) {
 
 func TestMulti(t *testing.T) {
 	var a, b Recorder
-	m := Multi(&a, &b)
+	m := multi{&a, &b}
 	m.ObserveRound(event(1, 0))
 	if a.Total() != 1 || b.Total() != 1 {
 		t.Fatal("multi did not fan out")

@@ -1,8 +1,6 @@
 package netbandit
 
 import (
-	"context"
-	"encoding/json"
 	"io"
 
 	"netbandit/internal/armdist"
@@ -12,8 +10,6 @@ import (
 	"netbandit/internal/policy"
 	"netbandit/internal/rng"
 	"netbandit/internal/serve"
-	"netbandit/internal/shard"
-	"netbandit/internal/shard/transport"
 	"netbandit/internal/sim"
 	"netbandit/internal/strategy"
 )
@@ -55,26 +51,12 @@ type (
 	ComboObjective = policy.ComboObjective
 	// StrategySet is an enumerable family of feasible strategies.
 	StrategySet = strategy.Set
-	// Oracle solves the per-round combinatorial maximisation of DFL-CSR.
-	Oracle = strategy.Oracle
 )
 
 // Simulation harness types.
 type (
 	// Config controls one simulation run.
 	Config = sim.Config
-	// Series is one replication's regret curves.
-	Series = sim.Series
-	// Aggregate summarises curves across replications.
-	Aggregate = sim.Aggregate
-	// Metric selects one of the four regret curves.
-	Metric = sim.Metric
-	// ReplicateOptions controls parallel replication.
-	ReplicateOptions = sim.ReplicateOptions
-	// SingleFactory builds a fresh single-play policy per replication.
-	SingleFactory = sim.SingleFactory
-	// ComboFactory builds a fresh combinatorial policy per replication.
-	ComboFactory = sim.ComboFactory
 	// Run steps one replication of any scenario round by round.
 	Run = sim.Run
 	// RewardModel is the environment seam a Run plays through; *Env and
@@ -83,8 +65,6 @@ type (
 	// ComboCache shares per-cell precomputation (optima, strategy
 	// relation graph) read-only across replications.
 	ComboCache = sim.ComboCache
-	// StrategyGraphCache lazily builds one shared SG(F, L) per cell.
-	StrategyGraphCache = bandit.StrategyGraphCache
 	// Params tunes a registered experiment.
 	Params = sim.Params
 	// Experiment is a registered, reproducible experiment.
@@ -110,18 +90,8 @@ type (
 	ConfigSpec = sim.ConfigSpec
 	// SweepResult is the outcome of a completed sweep.
 	SweepResult = sim.SweepResult
-	// CellResult is one cell's aggregate plus its grid coordinates.
-	CellResult = sim.CellResult
 	// SweepProgress reports one folded replication of a running sweep.
 	SweepProgress = sim.Progress
-	// ProgressFunc receives per-replication progress events.
-	ProgressFunc = sim.ProgressFunc
-	// CellRunStats reports what a RunCells invocation did and the memory
-	// bounds it observed.
-	CellRunStats = sim.CellRunStats
-	// AggregateState is the exact serialisable state of an Aggregate; it
-	// round-trips through JSON bit-identically.
-	AggregateState = sim.AggregateState
 )
 
 // Real-time decision service (package serve): many concurrent bandit
@@ -139,8 +109,6 @@ type (
 	ServeOptions = serve.Options
 	// InstanceSpec declaratively describes one hosted bandit instance.
 	InstanceSpec = serve.Spec
-	// InstanceStats is the lock-free read view of one hosted instance.
-	InstanceStats = serve.InstanceStats
 	// Decision is one answer from the service's decide endpoint.
 	Decision = serve.Decision
 	// FeedbackItem is one entry of a batched feedback request.
@@ -157,13 +125,6 @@ func NewDecisionServer(opts ServeOptions) (*DecisionServer, error) { return serv
 // directory, proving each decision log re-derives bit-identically.
 func VerifyServeDir(dir string) ([]*ServeVerifyResult, error) { return serve.VerifyDir(dir) }
 
-// VerifyServeInstance replays one instance directory offline.
-func VerifyServeInstance(dir string) (*ServeVerifyResult, error) { return serve.VerifyInstance(dir) }
-
-// PolicyNames lists the registry names accepted by InstanceSpec.Policy
-// and the CLI's -policy/-policies flags.
-func PolicyNames() []string { return sim.PolicyNames() }
-
 // NewPolicySpec is the registry-backed policy constructor every layer
 // shares: it resolves a name against the scenario into a complete sweep
 // policy axis point — single-play or combinatorial factory as the
@@ -171,119 +132,6 @@ func PolicyNames() []string { return sim.PolicyNames() }
 // validates.
 func NewPolicySpec(name string, scen Scenario) (PolicySpec, error) {
 	return sim.NewPolicySpec(name, scen)
-}
-
-// ContextualPolicy reports whether the named registry policy needs
-// per-round feature contexts (a contextual environment axis, or a
-// linear-reward instance spec).
-func ContextualPolicy(name string) bool { return sim.ContextualPolicy(name) }
-
-// AggregateSeries folds one replication's series into a fresh
-// one-replication Aggregate whose State round-trips bit-identically.
-func AggregateSeries(s *Series) (*Aggregate, error) { return sim.AggregateSeries(s) }
-
-// Sharded sweep execution (package shard): a Sweep becomes a
-// distributable, resumable job over a shared — or, with record
-// push-sync, entirely unshared — directory: a hashed plan manifest
-// partitioning cells into shards, per-cell aggregates spilled as
-// checksummed records the moment each cell finishes, resume by scanning
-// completed records, and a merge that is bit-identical to a
-// single-process Sweep.Run. A work-stealing coordinator leases cell
-// batches to workers spawned over a pluggable transport (local processes
-// or ssh), re-leasing cells whose heartbeat lapses, sizing each slot's
-// leases from its worker's reported per-cell cost, and — in mountless
-// mode — ingesting every record as a verified frame on the worker's
-// heartbeat stream instead of requiring a synced filesystem. Slots whose
-// workers keep failing are exponentially backed off, quarantined, probed
-// for re-admission, and eventually declared dead; when every slot is dead
-// or quarantined the coordinator finishes the remaining cells in-process
-// (Fallback) or aborts explicitly — never hangs.
-type (
-	// ShardPlan is the versioned, content-hashed shard manifest.
-	ShardPlan = shard.Plan
-	// ShardCellMeta identifies one grid cell of a plan.
-	ShardCellMeta = shard.CellMeta
-	// ShardRunOptions configures one shard-runner invocation.
-	ShardRunOptions = shard.RunOptions
-	// ShardRunStats reports what one shard run did (resumed vs run cells,
-	// peak live aggregates).
-	ShardRunStats = shard.RunStats
-	// ShardStatusReport is a point-in-time scan of a shard directory.
-	ShardStatusReport = shard.Status
-	// ShardCoordinator is the work-stealing coordinator: it leases cell
-	// batches to workers spawned through a ShardTransport, steals back the
-	// cells of stragglers whose heartbeat lapses, shrinks batch sizes as
-	// the queue drains (cost-seeded per slot), and with PushRecords
-	// ingests records over the worker streams so no directory is shared.
-	ShardCoordinator = shard.StealCoordinator
-	// ShardCoordinatorStats reports what one coordinator run did (cells
-	// completed, leases granted, steals, records pushed/rejected).
-	ShardCoordinatorStats = shard.StealStats
-	// ShardLeaseState is the coordinator's persisted lease snapshot
-	// (dir/leases.json), shown by `nbandit shard status`.
-	ShardLeaseState = shard.LeaseState
-	// ShardLeaseInfo is one active lease inside a ShardLeaseState.
-	ShardLeaseInfo = shard.LeaseInfo
-	// ShardTransport spawns, monitors, and cancels shard workers for the
-	// coordinator.
-	ShardTransport = transport.Transport
-	// ShardWorker is a transport's handle to one spawned worker.
-	ShardWorker = transport.Worker
-	// ShardWorkerSpec describes one lease to a transport.
-	ShardWorkerSpec = transport.Spec
-	// ShardLocalTransport runs workers as child processes on this machine,
-	// optionally in private plan-seeded job dirs (WorkerDir).
-	ShardLocalTransport = transport.Local
-	// ShardSSHTransport runs workers on remote hosts over ssh, against a
-	// synced job directory or (with push-sync) a plan-seeded scratch dir.
-	ShardSSHTransport = transport.SSH
-	// ShardChaosTransport decorates any ShardTransport with seeded,
-	// replayable fault injection — refused spawns, mid-lease crashes,
-	// heartbeat partitions and stalls, corrupted and truncated record
-	// frames — for chaos drills (`nbandit chaos`); every fault schedule is
-	// a pure function of (Seed, slot, spawn count).
-	ShardChaosTransport = transport.Chaos
-	// ShardInProcTransport runs workers as goroutines in the coordinator's
-	// own process over the real wire protocol, for drills and tests that
-	// cannot (or should not) spawn processes.
-	ShardInProcTransport = transport.InProc
-	// ShardSlotHealthInfo is one slot's resilience standing (backoff,
-	// quarantine, probe, dead) inside a ShardLeaseState.
-	ShardSlotHealthInfo = shard.SlotHealthInfo
-)
-
-// NewShardPlan enumerates the sweep's cells and partitions them
-// round-robin into shards; grid is an opaque description callers may use
-// to rebuild the sweep on the worker side.
-func NewShardPlan(sw *Sweep, grid json.RawMessage, shards int) (*ShardPlan, error) {
-	return shard.NewPlan(sw, grid, shards)
-}
-
-// WriteShardPlan hashes and writes dir/plan.json atomically.
-func WriteShardPlan(dir string, p *ShardPlan) error { return shard.WritePlan(dir, p) }
-
-// ReadShardPlan loads and verifies dir/plan.json.
-func ReadShardPlan(dir string) (*ShardPlan, error) { return shard.ReadPlan(dir) }
-
-// RunShard executes one shard of the plan with checkpoint/resume,
-// spilling each finished cell's aggregate to disk (peak memory O(1 cell)).
-func RunShard(ctx context.Context, dir string, p *ShardPlan, sw *Sweep, opts ShardRunOptions) (ShardRunStats, error) {
-	return shard.Run(ctx, dir, p, sw, opts)
-}
-
-// MergeShards folds every spilled cell record back into a SweepResult
-// bit-identical to a single-process Sweep.Run.
-func MergeShards(dir string, p *ShardPlan) (*SweepResult, error) { return shard.Merge(dir, p) }
-
-// ShardStatus scans a shard directory and reports per-shard completion.
-func ShardStatus(dir string, p *ShardPlan) (*ShardStatusReport, error) {
-	return shard.Scan(dir, p)
-}
-
-// ReadShardLeaseState loads a coordinator's persisted lease snapshot from
-// dir/leases.json.
-func ReadShardLeaseState(dir string) (*ShardLeaseState, error) {
-	return shard.ReadLeaseState(dir)
 }
 
 // The four scenarios.
@@ -306,15 +154,6 @@ const (
 	// ObjectiveClosure maximises the whole closure's reward sum (the CSR
 	// target).
 	ObjectiveClosure = policy.Closure
-)
-
-// The instance reward models accepted by InstanceSpec.RewardModel.
-const (
-	// RewardBernoulli is the classical fixed-mean game (the default).
-	RewardBernoulli = serve.RewardBernoulli
-	// RewardLinear is the contextual game: per-round features, linear
-	// expected rewards, context hashes on every decision.
-	RewardLinear = serve.RewardLinear
 )
 
 // The four per-replication regret metrics.
@@ -344,25 +183,6 @@ func NewGraph(n int) *Graph { return graphs.New(n) }
 // simulation topology.
 func GnpGraph(n int, p float64, r *RNG) *Graph { return graphs.Gnp(n, p, r) }
 
-// GnpSparseGraph returns a G(n, p) relation graph drawn by skip sampling in
-// expected O(n + edges) time, stored sparse when the density-based policy
-// says the O(n²)-bit matrix is not worth it — the generator for K = 10⁴–10⁵
-// instances. Gnp and GnpSparseGraph consume r differently, so the same seed
-// yields different (equally distributed) graphs.
-func GnpSparseGraph(n int, p float64, r *RNG) *Graph { return graphs.GnpSparse(n, p, r) }
-
-// NewSparseGraph returns an edgeless relation graph that stays in the
-// adjacency-list representation regardless of size — for callers that know
-// the graph will be too large or too sparse for the bit matrix.
-func NewSparseGraph(n int) *Graph { return graphs.NewSparse(n) }
-
-// StarGraph returns a hub-and-leaves relation graph.
-func StarGraph(n int) *Graph { return graphs.Star(n) }
-
-// CompleteGraph returns the complete relation graph (full side
-// observability).
-func CompleteGraph(n int) *Graph { return graphs.Complete(n) }
-
 // NewBernoulliEnv builds an environment with Bernoulli(means[i]) arms over
 // the given relation graph (nil graph = classical MAB).
 func NewBernoulliEnv(g *Graph, means []float64) (*Env, error) {
@@ -391,33 +211,13 @@ func NewSparseBernoulliEnv(k int, avgDeg float64, seed uint64) (*Env, error) {
 	return bandit.SparseBernoulliEnv(k, avgDeg, seed)
 }
 
-// Bernoulli returns a Bernoulli(p) reward distribution.
-func Bernoulli(p float64) (Distribution, error) { return armdist.NewBernoulli(p) }
-
-// Beta returns a Beta(a, b) reward distribution.
-func Beta(a, b float64) (Distribution, error) { return armdist.NewBeta(a, b) }
-
-// TruncGaussian returns a [0,1]-clamped Gaussian reward distribution.
-func TruncGaussian(mu, sigma float64) (Distribution, error) {
-	return armdist.NewTruncGaussian(mu, sigma)
-}
-
 // TopM enumerates all size-m strategies over k arms as the feasible family.
 func TopM(k, m int, g *Graph) (*StrategySet, error) { return strategy.TopM(k, m, g) }
-
-// UpToM enumerates all non-empty strategies with at most m arms.
-func UpToM(k, m int, g *Graph) (*StrategySet, error) { return strategy.UpToM(k, m, g) }
 
 // IndependentSets enumerates the independent sets of g with at most
 // maxSize arms — the strategy family of the paper's Fig. 2 example.
 func IndependentSets(g *Graph, maxSize int) (*StrategySet, error) {
 	return strategy.IndependentSets(g, maxSize)
-}
-
-// ExplicitStrategies builds a feasible family from caller-supplied arm
-// sets.
-func ExplicitStrategies(k int, strategies [][]int, g *Graph) (*StrategySet, error) {
-	return strategy.NewExplicit(k, strategies, g)
 }
 
 // BudgetedStrategies enumerates every arm subset whose total cost stays
@@ -433,13 +233,6 @@ func WindowStrategies(k, m int, g *Graph) (*StrategySet, error) {
 	return bandit.WindowStrategies(k, m, g)
 }
 
-// ExactOracle returns the enumeration oracle assumed by Theorem 4.
-func ExactOracle() Oracle { return strategy.ExactOracle{} }
-
-// GreedyOracle returns the (1-1/e) weighted max-coverage oracle selecting
-// size arms greedily.
-func GreedyOracle(size int) Oracle { return strategy.GreedyOracle{Size: size} }
-
 // BuildStrategyGraph constructs the Section IV strategy relation graph
 // SG(F, L) for a feasible family.
 func BuildStrategyGraph(set *StrategySet) *Graph { return core.BuildStrategyGraph(set) }
@@ -449,10 +242,6 @@ func BuildStrategyGraph(set *StrategySet) *Graph { return core.BuildStrategyGrap
 // NewDFLSSO returns Algorithm 1: distribution-free learning for
 // single-play with side observation.
 func NewDFLSSO() SinglePolicy { return core.NewDFLSSO() }
-
-// NewDFLSSOGreedyHop returns the Section IX greedy-hop heuristic over
-// DFL-SSO.
-func NewDFLSSOGreedyHop() SinglePolicy { return core.NewDFLSSOGreedyHop() }
 
 // NewDFLCSO returns Algorithm 2: distribution-free learning for
 // combinatorial-play with side observation.
@@ -469,55 +258,22 @@ func NewDFLSSRStreaming() SinglePolicy { return core.NewDFLSSRStreaming() }
 // combinatorial-play with side reward, with the exact oracle.
 func NewDFLCSR() ComboPolicy { return core.NewDFLCSR() }
 
-// NewDFLCSRWithOracle returns Algorithm 4 with a custom combinatorial
-// oracle.
-func NewDFLCSRWithOracle(o Oracle) ComboPolicy { return core.NewDFLCSRWithOracle(o) }
-
-// Baselines (package policy).
+// Baselines (package policy). The registry's other baselines (UCB1,
+// UCB-N, Thompson sampling, EXP3, CTS, OSMD, ...) are built by name
+// through NewPolicySpec.
 
 // NewMOSS returns the MOSS baseline the paper's Fig. 3 compares against.
 func NewMOSS() SinglePolicy { return policy.NewMOSS() }
 
-// NewUCB1 returns the classical UCB1 baseline.
-func NewUCB1() SinglePolicy { return policy.NewUCB1() }
-
-// NewUCBN returns the Δ-dependent side-observation baseline UCB-N.
-func NewUCBN() SinglePolicy { return policy.NewUCBN() }
-
-// NewUCBMaxN returns the UCB-MaxN side-observation baseline.
-func NewUCBMaxN() SinglePolicy { return policy.NewUCBMaxN() }
-
-// NewThompson returns Beta-Bernoulli Thompson sampling.
-func NewThompson(r *RNG) SinglePolicy { return policy.NewThompson(r) }
-
-// NewEpsilonGreedy returns a constant-ε greedy baseline.
-func NewEpsilonGreedy(eps float64, r *RNG) SinglePolicy {
-	return policy.NewEpsilonGreedy(eps, r)
-}
-
-// NewEXP3 returns the adversarial EXP3 baseline.
-func NewEXP3(gamma float64, r *RNG) SinglePolicy { return policy.NewEXP3(gamma, r) }
-
-// NewRandomPolicy returns the uniform-random baseline.
-func NewRandomPolicy(r *RNG) SinglePolicy { return policy.NewRandom(r) }
-
 // NewCUCBDirect returns the combinatorial UCB baseline targeting direct
 // reward (CSO objective).
 func NewCUCBDirect() ComboPolicy { return policy.NewCUCB(policy.Direct) }
-
-// NewCUCBClosure returns the combinatorial UCB baseline targeting closure
-// reward (CSR objective).
-func NewCUCBClosure() ComboPolicy { return policy.NewCUCB(policy.Closure) }
 
 // NewComboRandom returns the uniform-random combinatorial baseline.
 func NewComboRandom(r *RNG) ComboPolicy { return policy.NewComboRandom(r) }
 
 // Contextual policies (package policy): decision rules that read the
 // per-round feature vectors a ContextualEnv publishes through Select.
-
-// NewLinUCB returns single-play LinUCB: ridge regression over round
-// features with confidence-bonus exploration scaled by alpha.
-func NewLinUCB(alpha float64) SinglePolicy { return policy.NewLinUCB(alpha) }
 
 // NewCombLinUCB returns combinatorial LinUCB: one shared ridge model
 // scores every arm and the feasible strategy maximising the summed upper
@@ -526,25 +282,12 @@ func NewCombLinUCB(alpha float64, obj ComboObjective) ComboPolicy {
 	return policy.NewCombLinUCB(alpha, obj)
 }
 
-// NewCtxThompson returns linear-Gaussian Thompson sampling over round
-// features, posterior scale v, with counter-stream perturbations.
-func NewCtxThompson(v float64, r *RNG) SinglePolicy { return policy.NewCtxThompson(v, r) }
-
 // NewCombCtxThompson returns combinatorial linear Thompson sampling: one
 // posterior draw per round scores all arms, the best feasible strategy
 // under obj is played.
 func NewCombCtxThompson(v float64, obj ComboObjective, r *RNG) ComboPolicy {
 	return policy.NewCombCtxThompson(v, obj, r)
 }
-
-// NewCTS returns combinatorial Thompson sampling with Beta-Bernoulli
-// posteriors and order-independent per-(arm, round) draws.
-func NewCTS(obj ComboObjective, r *RNG) ComboPolicy { return policy.NewCTS(obj, r) }
-
-// NewOSMD returns the m-set online stochastic mirror descent baseline
-// (split-sample decomposition, capped-simplex projection); eta 0 derives
-// a horizon-tuned learning rate.
-func NewOSMD(eta float64, r *RNG) ComboPolicy { return policy.NewOSMD(eta, r) }
 
 // Simulation entry points (package sim).
 
@@ -561,13 +304,6 @@ func NewComboRun(env RewardModel, set *StrategySet, scen Scenario, pol ComboPoli
 	return sim.NewComboRun(env, set, scen, pol, cfg, r, cache)
 }
 
-// NewComboCache precomputes what the replications of one combinatorial
-// cell share — the optima under fixed means and the lazily built strategy
-// relation graph — so per-replication setup is O(1).
-func NewComboCache(env RewardModel, set *StrategySet) *ComboCache {
-	return sim.NewComboCache(env, set)
-}
-
 // NewContextualEnv builds a linear-reward environment over the relation
 // graph g (nil for no side information): expected rewards are
 // theta·x_i(t) with per-round features drawn from the counter stream.
@@ -579,32 +315,11 @@ func NewContextualEnv(g *Graph, k int, theta []float64, features Counter) (*Cont
 // normalised to sum 1.
 func RandomTheta(r *RNG, d int) []float64 { return bandit.RandomTheta(r, d) }
 
-// ReplicateSingle runs many single-play replications in parallel and
-// aggregates the regret curves.
-func ReplicateSingle(env *Env, scen Scenario, f SingleFactory, cfg Config, opts ReplicateOptions) (*Aggregate, error) {
-	return sim.ReplicateSingle(env, scen, f, cfg, opts)
-}
-
-// ReplicateCombo runs many combinatorial replications in parallel.
-func ReplicateCombo(env *Env, set *StrategySet, scen Scenario, f ComboFactory, cfg Config, opts ReplicateOptions) (*Aggregate, error) {
-	return sim.ReplicateCombo(env, set, scen, f, cfg, opts)
-}
-
-// GraphGenerator names a relation-graph generator for sweep axes ("gnp",
-// "ba", "ws", "complete", ...).
-type GraphGenerator = graphs.GeneratorName
-
 // GnpBernoulliEnv returns the paper's Section VII environment as a sweep
 // axis: a G(k, p) relation graph with uniform-random Bernoulli arms (and,
 // for combinatorial scenarios, the all-m-subsets family).
 func GnpBernoulliEnv(name string, scen Scenario, k, m int, p float64) EnvSpec {
 	return sim.GnpBernoulliEnv(name, scen, k, m, p)
-}
-
-// GeneratorEnv returns a sweep axis over any named relation-graph
-// generator with uniform-random Bernoulli arms.
-func GeneratorEnv(name string, scen Scenario, gen GraphGenerator, k, m int, param float64) EnvSpec {
-	return sim.GeneratorEnv(name, scen, gen, k, m, param)
 }
 
 // ContextualGnpEnv returns a contextual sweep axis: a G(k, p) relation
@@ -620,14 +335,8 @@ func FixedEnv(name string, scen Scenario, env *Env, set *StrategySet) EnvSpec {
 	return sim.FixedEnv(name, scen, env, set)
 }
 
-// WriteSweepCSV exports per-cell sweep aggregates in long CSV format.
-func WriteSweepCSV(w io.Writer, res *SweepResult) error { return sim.WriteSweepCSV(w, res) }
-
 // WriteSweepJSON exports the full per-cell sweep curves as JSON.
 func WriteSweepJSON(w io.Writer, res *SweepResult) error { return sim.WriteSweepJSON(w, res) }
-
-// SweepSummary renders each cell's final metric value as a text table.
-func SweepSummary(res *SweepResult, m Metric) string { return sim.SweepSummary(res, m) }
 
 // Experiments lists the registered figure/ablation reproductions.
 func Experiments() []Experiment { return sim.Experiments() }
