@@ -258,8 +258,8 @@ func largeKSetup(b *testing.B, k int) (*netbandit.Env, *netbandit.StrategySet) {
 }
 
 // BenchmarkLargeKSGBuild measures strategy-graph construction on the
-// window family: |F| = K vertices, so K = 10⁴ exercises the multi-word
-// arm-probe kernel over 5·10⁷ strategy pairs.
+// window family: |F| = K vertices, so K = 10⁴ exercises the index walk,
+// which tests about 2·10⁵ candidate pairs of the 5·10⁷ a pair scan would.
 func BenchmarkLargeKSGBuild(b *testing.B) {
 	for _, tc := range largeKSizes {
 		b.Run(tc.name, func(b *testing.B) {

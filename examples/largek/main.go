@@ -1,13 +1,14 @@
 // Largek: the K = 4096 scenario that the one-word kernels could not
-// touch. Every arm set here spans 64 machine words, the relation graph
-// is a skip-sampled sparse G(n, p) that never materialises its n×n bit
-// matrix, and the strategy relation graph SG(F, L) over the |F| = K
-// sliding-window family is built by the multi-word arm-probe kernel.
+// touch. The relation graph is a skip-sampled sparse G(n, p) that never
+// materialises its n×n bit matrix, and the strategy relation graph
+// SG(F, L) over the |F| = K sliding-window family is built by the index
+// walk, which visits only strategy pairs that can share an edge instead
+// of all |F|² of them.
 // The program prints construction statistics and then runs DFL-SSO
 // long enough to show the steady-state round staying cheap at this
 // scale. Single play needs no strategy family: the runner plays each arm
-// as an implicit singleton over its own closed neighbourhood, so the K
-// bitset rows a singleton strategy.Set would hold are never built.
+// as an implicit singleton over its own closed neighbourhood, so no
+// singleton strategy.Set copying every closure is built.
 package main
 
 import (

@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
+	"netbandit/internal/bandit"
 	"netbandit/internal/graphs"
 	"netbandit/internal/rng"
 	"netbandit/internal/strategy"
@@ -11,9 +13,8 @@ import (
 
 // TestBitsetStrategyGraphMatchesMerge is the satellite property test: on
 // random top-M families over random G(n, p) relation graphs — including
-// K > 64 so the multi-word kernel path is exercised — the bitset
-// BuildStrategyGraph must produce exactly the edge set of the sorted-merge
-// reference implementation.
+// K > 64 so the index walk is exercised — BuildStrategyGraph must produce
+// exactly the edge set of the sorted-merge reference implementation.
 func TestBitsetStrategyGraphMatchesMerge(t *testing.T) {
 	cases := []struct {
 		k, m int
@@ -23,8 +24,8 @@ func TestBitsetStrategyGraphMatchesMerge(t *testing.T) {
 		{12, 2, 0.5},
 		{14, 3, 0.2},
 		{20, 2, 0.3},
-		{70, 2, 0.1}, // two-word bitset rows
-		{70, 1, 0.4}, // singleton family on a multi-word graph
+		{70, 2, 0.1}, // past the 64-arm split: index walk
+		{70, 1, 0.4}, // singleton family past the split
 	}
 	for ci, tc := range cases {
 		for seed := uint64(0); seed < 3; seed++ {
@@ -91,55 +92,80 @@ func sortInts(s []int) {
 	}
 }
 
-// TestStrategyGraphWordBoundaries is the SG half of the word-boundary
-// satellite: at K values straddling one-, two-, and multi-word rows, random
-// families in both size regimes — strategies smaller than the row width
-// (arm-probe kernel) and at least as wide (unrolled word-subset kernel) —
-// must reproduce the merge reference exactly.
+// TestStrategyGraphWordBoundaries checks the kernels against the merge
+// reference at K values straddling the 64-arm split between the one-word
+// pair scan and the index walk, on random families of small (1–3 arms)
+// and wide (8–16 arms) strategies.
 func TestStrategyGraphWordBoundaries(t *testing.T) {
 	for _, k := range []int{63, 64, 65, 127, 128, 129, 1000} {
-		words := (k + 63) / 64
 		p := 0.1
 		if k >= 1000 {
 			p = 0.01
 		}
 		for seed := uint64(0); seed < 2; seed++ {
 			g := graphs.Gnp(k, p, rng.New(uint64(k)*7+seed))
-			// Small-strategy regime: MaxArms < Words whenever words > 1,
-			// driving the arm-probe kernel (at K=63/64 it is the scalar
-			// kernel, which the same reference check pins).
-			smallMax := words - 1
-			if smallMax < 1 {
-				smallMax = 1
-			} else if smallMax > 3 {
-				smallMax = 3
+			for _, fam := range []struct {
+				name          string
+				count, lo, hi int
+				seed          uint64
+			}{
+				{"small", 120, 1, 3, seed + 1},
+				{"wide", 60, 8, 16, seed + 3},
+			} {
+				set, err := strategy.NewExplicit(k, randomFamily(k, fam.count, fam.lo, fam.hi, rng.New(fam.seed)), g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := sameGraph(BuildStrategyGraph(set), buildStrategyGraphMerge(set)); err != nil {
+					t.Fatalf("k=%d seed=%d %s: %v", k, seed, fam.name, err)
+				}
 			}
-			smallCount := 120
-			if smallMax == 1 && smallCount > k {
-				smallCount = k // only k distinct singletons exist
-			}
-			small, err := strategy.NewExplicit(k, randomFamily(k, smallCount, 1, smallMax, rng.New(seed+1)), g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if words > 1 && small.MaxArms() >= small.Words() {
-				t.Fatalf("k=%d: small family does not select the probe kernel", k)
-			}
-			if err := sameGraph(BuildStrategyGraph(small), buildStrategyGraphMerge(small)); err != nil {
-				t.Fatalf("k=%d seed=%d small: %v", k, seed, err)
-			}
-			// Wide-strategy regime: MaxArms >= Words forces the unrolled
-			// SubsetWords kernel on multi-word rows.
-			wide, err := strategy.NewExplicit(k, randomFamily(k, 60, words, words+4, rng.New(seed+3)), g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if wide.MaxArms() < wide.Words() {
-				t.Fatalf("k=%d: wide family does not select the word kernel", k)
-			}
-			if err := sameGraph(BuildStrategyGraph(wide), buildStrategyGraphMerge(wide)); err != nil {
-				t.Fatalf("k=%d seed=%d wide: %v", k, seed, err)
-			}
+		}
+	}
+}
+
+// TestStrategyGraphIndexEdgeCases covers the shapes the index walk treats
+// specially: strategies too large for the 64-bit cover mask, mixed with
+// small ones so both containment paths meet; a family whose strategies all
+// share their smallest arm, so every candidate sits in one bucket; and
+// singletons on an edgeless relation graph, whose SG is edgeless too.
+func TestStrategyGraphIndexEdgeCases(t *testing.T) {
+	const k = 200
+	g := graphs.Gnp(k, 0.05, rng.New(11))
+	huge := append(randomFamily(k, 40, 65, 90, rng.New(12)), randomFamily(k, 60, 1, 4, rng.New(13))...)
+	shared := randomFamily(k-1, 150, 1, 3, rng.New(14))
+	for _, s := range shared {
+		for i := range s {
+			s[i]++
+		}
+	}
+	for i, s := range shared {
+		shared[i] = append([]int{0}, s...)
+	}
+	singletons := make([][]int, k)
+	for i := range singletons {
+		singletons[i] = []int{i}
+	}
+	for _, tc := range []struct {
+		name     string
+		family   [][]int
+		g        *graphs.Graph
+		edgeless bool
+	}{
+		{"over-64-arms", huge, g, false},
+		{"one-bucket", shared, g, false},
+		{"edgeless-singletons", singletons, nil, true},
+	} {
+		set, err := strategy.NewExplicit(k, tc.family, tc.g)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		sg := BuildStrategyGraph(set)
+		if err := sameGraph(sg, buildStrategyGraphMerge(set)); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if (sg.M() == 0) != tc.edgeless {
+			t.Fatalf("%s: SG has %d edges", tc.name, sg.M())
 		}
 	}
 }
@@ -160,4 +186,39 @@ func TestBitsetStrategyGraphExplicitFamilies(t *testing.T) {
 	if err := sameGraph(fast, ref); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestStrategyGraphLargeKFootprint guards the large-K build against a
+// return to the O(|F|²) adjacency matrix or to per-strategy O(K/64) bit
+// rows: at K = |F| = 10⁴ windows over a sparse relation graph, building the
+// family must allocate under 8 MB, and building SG(F, L) under 4 MB into
+// the sparse representation.
+func TestStrategyGraphLargeKFootprint(t *testing.T) {
+	env, err := bandit.SparseBernoulliEnv(10000, 8, 10000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var set *strategy.Set
+	if got := allocatedBy(func() { set, err = bandit.WindowStrategies(10000, 2, env.Graph()) }); got >= 8<<20 {
+		t.Errorf("WindowStrategies(10⁴, 2) allocated %.1f MB, want < 8 MB", float64(got)/(1<<20))
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sg *graphs.Graph
+	if got := allocatedBy(func() { sg = BuildStrategyGraph(set) }); got >= 4<<20 {
+		t.Errorf("BuildStrategyGraph allocated %.1f MB, want < 4 MB", float64(got)/(1<<20))
+	}
+	if sg.Dense() {
+		t.Errorf("SG(F, L) with %d vertices and %d edges kept the dense matrix", sg.N(), sg.M())
+	}
+}
+
+// allocatedBy returns the bytes of heap memory f allocates.
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }

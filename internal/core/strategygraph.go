@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"netbandit/internal/graphs"
 	"netbandit/internal/strategy"
 )
@@ -12,69 +14,35 @@ import (
 // edge reveals every component reward of the other, which is what lets
 // DFL-CSO run the single-play side-observation machinery over com-arms.
 //
-// The subset tests run on the arm/closure bitset rows package strategy
-// precomputes, so each of the |F|² ordered pairs costs O(K/64) word ANDs
-// rather than an O(M + |Y|) sorted merge, with a scalar fast path when the
-// rows fit one word (K ≤ 64). Edges are accumulated in an adjacency bit
-// matrix and materialised in one bulk pass (graphs.NewFromBitRows), so no
-// per-edge sorted insertion is paid either.
+// Up to 64 arms every arm and closure set is one machine word, and a scan
+// of all |F|² pairs at two AND-NOTs each is the fastest way to the edge
+// set. Past 64 arms the scan gives way to an index walk whose cost follows
+// the candidate pairs rather than |F|².
 func BuildStrategyGraph(set *strategy.Set) *graphs.Graph {
+	if set.K() <= 64 {
+		return buildStrategyGraphWord(set)
+	}
+	return buildStrategyGraphIndex(set)
+}
+
+// buildStrategyGraphWord is the one-word pair scan. Edges are accumulated
+// in an adjacency bit matrix and materialised in one bulk pass
+// (graphs.NewFromBitRows), so no per-edge sorted insertion is paid.
+func buildStrategyGraphWord(set *strategy.Set) *graphs.Graph {
 	n := set.Len()
+	arm := make([]uint64, n)
+	clo := make([]uint64, n)
+	for x := 0; x < n; x++ {
+		arm[x] = wordOf(set.Arms(x))
+		clo[x] = wordOf(set.Closure(x))
+	}
 	wn := (n + 63) / 64
 	rows := make([]uint64, n*wn)
-	if set.Words() == 1 {
-		// Scalar kernel: each strategy's arm and closure sets are one word.
-		arm := make([]uint64, n)
-		clo := make([]uint64, n)
-		for x := 0; x < n; x++ {
-			arm[x] = set.ArmBits(x)[0]
-			clo[x] = set.ClosureBits(x)[0]
-		}
-		for x := 0; x < n; x++ {
-			ax, cx := arm[x], clo[x]
-			rowx := rows[x*wn : (x+1)*wn]
-			for y := x + 1; y < n; y++ {
-				if arm[y]&^cx == 0 && ax&^clo[y] == 0 {
-					rowx[y>>6] |= 1 << (uint(y) & 63)
-					rows[y*wn+(x>>6)] |= 1 << (uint(x) & 63)
-				}
-			}
-		}
-		return graphs.NewFromBitRows(n, rows)
-	}
-	// Multi-word kernel. Hoist the per-strategy rows/lists out of the pair
-	// loop once — set.ArmBits etc. are slice-header computations, but |F|²
-	// of them is real money at n = 10⁴.
-	armRows := make([][]uint64, n)
-	cloRows := make([][]uint64, n)
-	armsList := make([][]int, n)
 	for x := 0; x < n; x++ {
-		armRows[x] = set.ArmBits(x)
-		cloRows[x] = set.ClosureBits(x)
-		armsList[x] = set.Arms(x)
-	}
-	if set.MaxArms() < set.Words() {
-		// Strategies are small relative to the row width (e.g. singletons
-		// or windows at K = 10⁴: M words per row, but only a handful of
-		// arms). Probing each component arm's bit in the other closure is
-		// O(M) per ordered pair instead of O(K/64).
-		for x := 0; x < n; x++ {
-			ax, cx := armsList[x], cloRows[x]
-			rowx := rows[x*wn : (x+1)*wn]
-			for y := x + 1; y < n; y++ {
-				if armsInBits(armsList[y], cx) && armsInBits(ax, cloRows[y]) {
-					rowx[y>>6] |= 1 << (uint(y) & 63)
-					rows[y*wn+(x>>6)] |= 1 << (uint(x) & 63)
-				}
-			}
-		}
-		return graphs.NewFromBitRows(n, rows)
-	}
-	for x := 0; x < n; x++ {
-		ax, cx := armRows[x], cloRows[x]
+		ax, cx := arm[x], clo[x]
 		rowx := rows[x*wn : (x+1)*wn]
 		for y := x + 1; y < n; y++ {
-			if graphs.SubsetWords(armRows[y], cx) && graphs.SubsetWords(ax, cloRows[y]) {
+			if arm[y]&^cx == 0 && ax&^clo[y] == 0 {
 				rowx[y>>6] |= 1 << (uint(y) & 63)
 				rows[y*wn+(x>>6)] |= 1 << (uint(x) & 63)
 			}
@@ -83,18 +51,100 @@ func BuildStrategyGraph(set *strategy.Set) *graphs.Graph {
 	return graphs.NewFromBitRows(n, rows)
 }
 
-// armsInBits reports whether every arm in the list has its bit set in row.
-func armsInBits(arms []int, row []uint64) bool {
+// wordOf packs arms below 64 into one bitset word.
+func wordOf(arms []int) uint64 {
+	var w uint64
 	for _, a := range arms {
-		if row[a>>6]&(1<<(uint(a)&63)) == 0 {
-			return false
+		w |= 1 << uint(a)
+	}
+	return w
+}
+
+// buildStrategyGraphIndex finds the edges without visiting every pair.
+// s_y ⊆ Y_x requires min(s_y) ∈ Y_x, so strategies are bucketed by their
+// smallest arm and x only visits the buckets of the arms in Y_x. Both
+// containment tests then cost O(|s_y|) through per-arm tables filled once
+// per x: stamp marks Y_x, and cover[i] has bit j set when arm j of s_x lies
+// in N̄_i, so the OR of cover over s_y is full exactly when s_x ⊆ Y_y (by
+// symmetry of the relation graph, a ∈ N̄_i iff i ∈ N̄_a). Strategies with
+// more than 64 arms overflow the cover word and fall back to a sorted
+// merge against Y_y. On the K = 10⁴ window family this is about 2·10⁵
+// candidate tests where the pair scan made 5·10⁷.
+func buildStrategyGraphIndex(set *strategy.Set) *graphs.Graph {
+	n, k, g := set.Len(), set.K(), set.Graph()
+	// Bucket a, the strategies whose smallest arm is a, is
+	// byMin[start[a]:start[a+1]].
+	start := make([]int, k+1)
+	for x := 0; x < n; x++ {
+		start[set.Arms(x)[0]]++
+	}
+	for a := 1; a <= k; a++ {
+		start[a] += start[a-1]
+	}
+	byMin := make([]int, n)
+	for x := n - 1; x >= 0; x-- {
+		a := set.Arms(x)[0]
+		start[a]--
+		byMin[start[a]] = x
+	}
+
+	stamp := make([]int, k) // stamp[i] == x+1 iff i ∈ Y_x
+	cover := make([]uint64, k)
+	// Edges {x, y} with x < y, as per-x neighbour runs up[off[x]:off[x+1]].
+	var up []int
+	off := make([]int, n+1)
+	for x := 0; x < n; x++ {
+		ax, yx, tag := set.Arms(x), set.Closure(x), x+1
+		masked := len(ax) <= 64
+		for _, i := range yx {
+			stamp[i], cover[i] = tag, 0
+		}
+		if masked {
+			for j, a := range ax {
+				for _, i := range g.ClosedNeighborhood(a) {
+					cover[i] |= 1 << uint(j)
+				}
+			}
+		}
+		full := uint64(1)<<uint(len(ax)) - 1
+		run := len(up)
+		for _, a := range yx {
+		candidates:
+			for _, y := range byMin[start[a]:start[a+1]] {
+				if y <= x {
+					continue
+				}
+				var c uint64
+				for _, i := range set.Arms(y) {
+					if stamp[i] != tag {
+						continue candidates
+					}
+					c |= cover[i]
+				}
+				if masked && c == full || !masked && isSubset(ax, set.Closure(y)) {
+					up = append(up, y)
+				}
+			}
+		}
+		slices.Sort(up[run:])
+		off[x+1] = len(up)
+	}
+
+	density := 0.0
+	if n > 1 {
+		density = float64(len(up)) / (float64(n) * float64(n-1) / 2)
+	}
+	sg := graphs.NewAuto(n, density)
+	for x := 0; x < n; x++ {
+		for _, y := range up[off[x]:off[x+1]] {
+			sg.MustAddEdge(x, y)
 		}
 	}
-	return true
+	return sg
 }
 
 // buildStrategyGraphMerge is the pre-bitset reference implementation,
-// kept verbatim so the property tests can check the kernel against an
+// kept verbatim so the property tests can check the kernels against an
 // independently derived answer on random families.
 func buildStrategyGraphMerge(set *strategy.Set) *graphs.Graph {
 	n := set.Len()

@@ -157,33 +157,31 @@ func NewFromBitRows(n int, rows []uint64) *Graph {
 			panic(fmt.Sprintf("graphs: NewFromBitRows row %d has a self-loop", v))
 		}
 	}
-	adjBacking := make([]int, 0, total)
-	closedBacking := make([]int, 0, total+n)
+	adjBacking := make([]int, total)
+	closedBacking := make([]int, total+n)
+	a, c := 0, 0
 	for v := 0; v < n; v++ {
-		row := rows[v*words : (v+1)*words]
-		adjStart, closedStart := len(adjBacking), len(closedBacking)
-		placedSelf := false
-		for wi, w := range row {
-			base := wi * 64
+		start := a
+		vw, vbit := v/64, uint64(1)<<(uint(v)%64)
+		for wi, w := range rows[v*words : (v+1)*words] {
 			for w != 0 {
-				u := base + bits.TrailingZeros64(w)
+				u := wi*64 + bits.TrailingZeros64(w)
 				w &= w - 1
-				if u >= v && !placedSelf {
-					closedBacking = append(closedBacking, v)
-					placedSelf = true
-				}
-				if g.bits[u][v/64]&(1<<(uint(v)%64)) == 0 {
+				if rows[u*words+vw]&vbit == 0 {
 					panic(fmt.Sprintf("graphs: NewFromBitRows matrix not symmetric at (%d,%d)", v, u))
 				}
-				adjBacking = append(adjBacking, u)
-				closedBacking = append(closedBacking, u)
+				adjBacking[a] = u
+				a++
 			}
 		}
-		if !placedSelf {
-			closedBacking = append(closedBacking, v)
-		}
-		g.adj[v] = adjBacking[adjStart:len(adjBacking):len(adjBacking)]
-		g.closed[v] = closedBacking[closedStart:len(closedBacking):len(closedBacking)]
+		adj := adjBacking[start:a:a]
+		closed := closedBacking[c : c+len(adj)+1 : c+len(adj)+1]
+		c += len(closed)
+		below := sort.SearchInts(adj, v)
+		copy(closed, adj[:below])
+		closed[below] = v
+		copy(closed[below+1:], adj[below:])
+		g.adj[v], g.closed[v] = adj, closed
 	}
 	g.m = total / 2
 	return g

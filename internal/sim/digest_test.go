@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"hash"
 	"math"
+	"slices"
 	"testing"
 
 	"netbandit/internal/bandit"
@@ -86,60 +87,129 @@ func TestRunnerDigests(t *testing.T) {
 		if tc.env.D() > 0 {
 			name = "ctx/" + name
 		}
-		spec, err := NewPolicySpec(tc.policy, tc.scen)
-		if err != nil {
-			t.Fatal(err)
-		}
-		newRun := func(obs trace.Observer) *Run {
-			cfg := Config{Horizon: 300, AnnounceHorizon: true, Observer: obs}
-			r := rng.New(77)
-			var run *Run
-			var err error
-			if tc.scen.Combinatorial() {
-				run, err = NewComboRun(tc.env, sets[tc.env], tc.scen, spec.Combo(r.Split(3)), cfg, r.Split(4), caches[tc.env])
-			} else {
-				run, err = NewSingleRun(tc.env, tc.scen, spec.Single(r.Split(3)), cfg, r.Split(4))
-			}
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			return run
-		}
+		checkDigest(t, name, tc.env, sets[tc.env], caches[tc.env], tc.scen, tc.policy, tc.want)
+	}
+}
 
-		stepHash := sha256.New()
-		stepRun := newRun(digestObserver{stepHash})
-		if _, err := stepRun.Run(); err != nil {
+// checkDigest runs one cell twice, by Step and by Decide+ApplyFeedback,
+// and compares both digests with want. set and cache are ignored for
+// single-play scenarios.
+func checkDigest(t *testing.T, name string, env bandit.RewardModel, set *strategy.Set, cache *ComboCache, scen bandit.Scenario, policy, want string) {
+	t.Helper()
+	spec, err := NewPolicySpec(policy, scen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newRun := func(obs trace.Observer) *Run {
+		cfg := Config{Horizon: 300, AnnounceHorizon: true, Observer: obs}
+		r := rng.New(77)
+		var run *Run
+		var err error
+		if scen.Combinatorial() {
+			run, err = NewComboRun(env, set, scen, spec.Combo(r.Split(3)), cfg, r.Split(4), cache)
+		} else {
+			run, err = NewSingleRun(env, scen, spec.Single(r.Split(3)), cfg, r.Split(4))
+		}
+		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		stepDigest := digestSeries(stepHash, stepRun.Series())
+		return run
+	}
 
-		// The echo run closes each round with the values its lockstep twin
-		// sampled, as a decision-service client would post them back.
-		applyHash := sha256.New()
-		autoRun, applyRun := newRun(nil), newRun(digestObserver{applyHash})
-		for !autoRun.Done() {
-			if _, _, err := autoRun.Decide(); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			sampled, err := autoRun.AutoFeedback()
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if _, _, err := applyRun.Decide(); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			values := make([]float64, len(sampled))
-			for j, o := range sampled {
-				values[j] = o.Value
-			}
-			if err := applyRun.ApplyFeedback(values); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
+	stepHash := sha256.New()
+	stepRun := newRun(digestObserver{stepHash})
+	if _, err := stepRun.Run(); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	stepDigest := digestSeries(stepHash, stepRun.Series())
+
+	// The echo run closes each round with the values its lockstep twin
+	// sampled, as a decision-service client would post them back.
+	applyHash := sha256.New()
+	autoRun, applyRun := newRun(nil), newRun(digestObserver{applyHash})
+	for !autoRun.Done() {
+		if _, _, err := autoRun.Decide(); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		applyDigest := digestSeries(applyHash, applyRun.Series())
-
-		if stepDigest != tc.want || applyDigest != tc.want {
-			t.Errorf("%s: step digest %s, decide+apply digest %s, want %s", name, stepDigest, applyDigest, tc.want)
+		sampled, err := autoRun.AutoFeedback()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, _, err := applyRun.Decide(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		values := make([]float64, len(sampled))
+		for j, o := range sampled {
+			values[j] = o.Value
+		}
+		if err := applyRun.ApplyFeedback(values); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
 	}
+	applyDigest := digestSeries(applyHash, applyRun.Series())
+
+	if stepDigest != want || applyDigest != want {
+		t.Errorf("%s: step digest %s, decide+apply digest %s, want %s", name, stepDigest, applyDigest, want)
+	}
+}
+
+// TestRunnerDigestsMultiWord pins DFL-CSO and CUCB past K = 64, where a
+// strategy's arm and closure sets no longer fit one 64-bit word and
+// SG(F, L) comes from the large-family kernel instead of the one-word
+// pair scan. The cases are the sliding-window family over a sparse
+// K = 1000 relation graph and a random explicit family at K = 200 with
+// up to four arms per strategy.
+func TestRunnerDigestsMultiWord(t *testing.T) {
+	sparse, err := bandit.SparseBernoulliEnv(1000, 8, 63)
+	if err != nil {
+		t.Fatal(err)
+	}
+	windows, err := bandit.WindowStrategies(1000, 2, sparse.Graph())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k = 200
+	dense := testEnv(t, k, 0.1, 64)
+	random, err := strategy.NewExplicit(k, randomStrategies(k, 400, 4, rng.New(65)), dense.Graph())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name   string
+		env    bandit.RewardModel
+		set    *strategy.Set
+		policy string
+		want   string
+	}{
+		{"window1000/dfl", sparse, windows, "dfl", "2aa45d147ce9b33c"},
+		{"window1000/cucb", sparse, windows, "cucb", "554a0dec03246d78"},
+		{"random200/dfl", dense, random, "dfl", "cbbfec162c4bc391"},
+	}
+	for _, tc := range cases {
+		checkDigest(t, tc.name, tc.env, tc.set, NewComboCache(tc.env, tc.set), bandit.CSO, tc.policy, tc.want)
+	}
+}
+
+// randomStrategies draws count distinct strategies of 1..maxSize arms
+// over k arms, deterministically in r. maxSize must be at most 4.
+func randomStrategies(k, count, maxSize int, r *rng.RNG) [][]int {
+	seen := make(map[[4]int]bool, count)
+	var all [][]int
+	for len(all) < count {
+		s := make([]int, 0, 1+r.Intn(maxSize))
+		for len(s) < cap(s) {
+			if a := r.Intn(k); !slices.Contains(s, a) {
+				s = append(s, a)
+			}
+		}
+		slices.Sort(s)
+		key := [4]int{-1, -1, -1, -1}
+		copy(key[:], s)
+		if seen[key] {
+			continue
+		}
+		seen[key] = true
+		all = append(all, s)
+	}
+	return all
 }

@@ -32,14 +32,7 @@ type Set struct {
 	index  map[string]int // canonical arm-set key -> strategy index
 	name   string
 	maxY   int
-	maxM   int // max strategy size, for kernel selection in BuildStrategyGraph
-
-	// Bitset views of arms and closed, one words-length row per strategy
-	// carved from a shared backing array. BuildStrategyGraph's subset tests
-	// run on these rows in O(K/64) words instead of merging sorted slices.
-	words       int
-	armBits     []uint64
-	closureBits []uint64
+	maxM   int
 }
 
 // NewExplicit builds a Set from caller-supplied strategies. The graph may
@@ -62,18 +55,17 @@ func NewExplicit(k int, strategies [][]int, g *graphs.Graph) (*Set, error) {
 	if len(strategies) > MaxEnumerable {
 		return nil, fmt.Errorf("strategy: %d strategies exceeds enumeration cap %d", len(strategies), MaxEnumerable)
 	}
-	words := (k + 63) / 64
 	s := &Set{
-		k:           k,
-		graph:       g,
-		arms:        make([][]int, 0, len(strategies)),
-		closed:      make([][]int, 0, len(strategies)),
-		index:       make(map[string]int, len(strategies)),
-		name:        "explicit",
-		words:       words,
-		armBits:     make([]uint64, len(strategies)*words),
-		closureBits: make([]uint64, len(strategies)*words),
+		k:      k,
+		graph:  g,
+		arms:   make([][]int, 0, len(strategies)),
+		closed: make([][]int, 0, len(strategies)),
+		index:  make(map[string]int, len(strategies)),
+		name:   "explicit",
 	}
+	// One scratch row, reused by every strategy: each closure is ORed into
+	// it and drained back out as a sorted list, leaving it zeroed.
+	row := make([]uint64, g.Words())
 	for xi, raw := range strategies {
 		a := append([]int(nil), raw...)
 		sort.Ints(a)
@@ -92,16 +84,12 @@ func NewExplicit(k int, strategies [][]int, g *graphs.Graph) (*Set, error) {
 		if prev, dup := s.index[key]; dup {
 			return nil, fmt.Errorf("strategy: strategy %d duplicates strategy %d", xi, prev)
 		}
-		x := len(s.arms)
-		s.index[key] = x
+		s.index[key] = len(s.arms)
 		s.arms = append(s.arms, a)
-		ab := s.armBits[x*words : (x+1)*words]
-		cb := s.closureBits[x*words : (x+1)*words]
 		for _, arm := range a {
-			ab[arm/64] |= 1 << (uint(arm) % 64)
-			g.OrClosedInto(cb, arm)
+			g.OrClosedInto(row, arm)
 		}
-		cl := bitsetToSorted(cb)
+		cl := drainSorted(row)
 		s.closed = append(s.closed, cl)
 		if len(cl) > s.maxY {
 			s.maxY = len(cl)
@@ -113,14 +101,15 @@ func NewExplicit(k int, strategies [][]int, g *graphs.Graph) (*Set, error) {
 	return s, nil
 }
 
-// bitsetToSorted enumerates the set bits of row as a sorted []int.
-func bitsetToSorted(row []uint64) []int {
-	total := 0
-	for _, w := range row {
-		total += bits.OnesCount64(w)
-	}
-	out := make([]int, 0, total)
+// drainSorted enumerates the set bits of row as a sorted []int and clears
+// row.
+func drainSorted(row []uint64) []int {
+	out := make([]int, 0, graphs.CountWords(row))
 	for wi, w := range row {
+		if w == 0 {
+			continue
+		}
+		row[wi] = 0
 		base := wi * 64
 		for w != 0 {
 			out = append(out, base+bits.TrailingZeros64(w))
@@ -331,21 +320,6 @@ func (s *Set) MaxClosureSize() int { return s.maxY }
 
 // MaxArms returns M = max_x |s_x|, the largest strategy size in the family.
 func (s *Set) MaxArms() int { return s.maxM }
-
-// Words returns the number of uint64 words per arm/closure bitset row.
-func (s *Set) Words() int { return s.words }
-
-// ArmBits returns the bitset of strategy x's component arms. The row is
-// shared; callers must not modify it.
-func (s *Set) ArmBits(x int) []uint64 {
-	return s.armBits[x*s.words : (x+1)*s.words]
-}
-
-// ClosureBits returns the bitset of Y_x. The row is shared; callers must
-// not modify it.
-func (s *Set) ClosureBits(x int) []uint64 {
-	return s.closureBits[x*s.words : (x+1)*s.words]
-}
 
 // IndexOf returns the index of the strategy with exactly the given arms
 // (order-insensitive), or ok=false if the family does not contain it.
