@@ -8,6 +8,7 @@ package netbandit_test
 // benches should show MOSS well above DFL-SSO.
 
 import (
+	"fmt"
 	"testing"
 
 	"netbandit"
@@ -213,19 +214,28 @@ func BenchmarkDFLCSRRound(b *testing.B) {
 	b.ReportMetric(500, "rounds/op")
 }
 
+// BenchmarkStrategyGraphConstruction measures the SG(F, L) build on
+// top-2 families over G(K, 0.3): K = 20 runs the one-word pair scan, and
+// K = 100 runs the index walk on a dense SG (|F| = 4950, density ~0.16),
+// the counterpart of BenchmarkLargeKSGBuild's sparse one.
 func BenchmarkStrategyGraphConstruction(b *testing.B) {
-	r := netbandit.NewRNG(3)
-	g := netbandit.GnpGraph(20, 0.3, r)
-	set, err := netbandit.TopM(20, 2, g)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sg := netbandit.BuildStrategyGraph(set)
-		if sg.N() != set.Len() {
-			b.Fatal("bad SG")
-		}
+	for _, k := range []int{20, 100} {
+		b.Run(fmt.Sprintf("top2_k%d", k), func(b *testing.B) {
+			r := netbandit.NewRNG(3)
+			g := netbandit.GnpGraph(k, 0.3, r)
+			set, err := netbandit.TopM(k, 2, g)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sg := netbandit.BuildStrategyGraph(set)
+				if sg.N() != set.Len() {
+					b.Fatal("bad SG")
+				}
+			}
+		})
 	}
 }
 

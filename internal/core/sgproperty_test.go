@@ -124,11 +124,11 @@ func TestStrategyGraphWordBoundaries(t *testing.T) {
 	}
 }
 
-// TestStrategyGraphIndexEdgeCases covers the shapes the index walk treats
-// specially: strategies too large for the 64-bit cover mask, mixed with
-// small ones so both containment paths meet; a family whose strategies all
-// share their smallest arm, so every candidate sits in one bucket; and
-// singletons on an edgeless relation graph, whose SG is edgeless too.
+// TestStrategyGraphIndexEdgeCases covers extreme shapes for the index
+// walk: strategies wider than 64 arms (NewExplicit allows them), mixed
+// with small ones; a family whose strategies all share their smallest
+// arm, so every candidate sits in one bucket; and singletons on an
+// edgeless relation graph, whose SG is edgeless too.
 func TestStrategyGraphIndexEdgeCases(t *testing.T) {
 	const k = 200
 	g := graphs.Gnp(k, 0.05, rng.New(11))

@@ -62,16 +62,15 @@ func wordOf(arms []int) uint64 {
 
 // buildStrategyGraphIndex finds the edges without visiting every pair.
 // s_y ⊆ Y_x requires min(s_y) ∈ Y_x, so strategies are bucketed by their
-// smallest arm and x only visits the buckets of the arms in Y_x. Both
-// containment tests then cost O(|s_y|) through per-arm tables filled once
-// per x: stamp marks Y_x, and cover[i] has bit j set when arm j of s_x lies
-// in N̄_i, so the OR of cover over s_y is full exactly when s_x ⊆ Y_y (by
-// symmetry of the relation graph, a ∈ N̄_i iff i ∈ N̄_a). Strategies with
-// more than 64 arms overflow the cover word and fall back to a sorted
-// merge against Y_y. On the K = 10⁴ window family this is about 2·10⁵
-// candidate tests where the pair scan made 5·10⁷.
+// smallest arm and x only visits the buckets of the arms in Y_x. A per-arm
+// stamp marking Y_x, reused across x, tests s_y ⊆ Y_x in O(|s_y|), and the
+// candidates that pass take a sorted merge of s_x against Y_y. On the
+// K = 10⁴ window family this is about 2·10⁵ candidate tests where the pair
+// scan made 5·10⁷. The edges leave as sorted per-strategy runs through
+// graphs.NewFromUpperRuns, which picks the representation for the exact
+// density: sparse at K = 10⁴, the bit matrix for dense families.
 func buildStrategyGraphIndex(set *strategy.Set) *graphs.Graph {
-	n, k, g := set.Len(), set.K(), set.Graph()
+	n, k := set.Len(), set.K()
 	// Bucket a, the strategies whose smallest arm is a, is
 	// byMin[start[a]:start[a+1]].
 	start := make([]int, k+1)
@@ -89,24 +88,14 @@ func buildStrategyGraphIndex(set *strategy.Set) *graphs.Graph {
 	}
 
 	stamp := make([]int, k) // stamp[i] == x+1 iff i ∈ Y_x
-	cover := make([]uint64, k)
 	// Edges {x, y} with x < y, as per-x neighbour runs up[off[x]:off[x+1]].
 	var up []int
 	off := make([]int, n+1)
 	for x := 0; x < n; x++ {
 		ax, yx, tag := set.Arms(x), set.Closure(x), x+1
-		masked := len(ax) <= 64
 		for _, i := range yx {
-			stamp[i], cover[i] = tag, 0
+			stamp[i] = tag
 		}
-		if masked {
-			for j, a := range ax {
-				for _, i := range g.ClosedNeighborhood(a) {
-					cover[i] |= 1 << uint(j)
-				}
-			}
-		}
-		full := uint64(1)<<uint(len(ax)) - 1
 		run := len(up)
 		for _, a := range yx {
 		candidates:
@@ -114,14 +103,12 @@ func buildStrategyGraphIndex(set *strategy.Set) *graphs.Graph {
 				if y <= x {
 					continue
 				}
-				var c uint64
 				for _, i := range set.Arms(y) {
 					if stamp[i] != tag {
 						continue candidates
 					}
-					c |= cover[i]
 				}
-				if masked && c == full || !masked && isSubset(ax, set.Closure(y)) {
+				if isSubset(ax, set.Closure(y)) {
 					up = append(up, y)
 				}
 			}
@@ -129,18 +116,7 @@ func buildStrategyGraphIndex(set *strategy.Set) *graphs.Graph {
 		slices.Sort(up[run:])
 		off[x+1] = len(up)
 	}
-
-	density := 0.0
-	if n > 1 {
-		density = float64(len(up)) / (float64(n) * float64(n-1) / 2)
-	}
-	sg := graphs.NewAuto(n, density)
-	for x := 0; x < n; x++ {
-		for _, y := range up[off[x]:off[x+1]] {
-			sg.MustAddEdge(x, y)
-		}
-	}
-	return sg
+	return graphs.NewFromUpperRuns(n, off, up)
 }
 
 // buildStrategyGraphMerge is the pre-bitset reference implementation,

@@ -187,6 +187,74 @@ func NewFromBitRows(n int, rows []uint64) *Graph {
 	return g
 }
 
+// NewFromUpperRuns builds a graph from its edges grouped by lower
+// endpoint: the neighbours of u above u are up[off[u]:off[u+1]], strictly
+// increasing, so off has n+1 entries with off[0] = 0 and off[n] =
+// len(up). It panics on malformed runs (the input is produced by
+// construction code, not parsed from users). The representation is the
+// one NewAuto picks for the exact edge density. Bulk builders such as
+// the strategy-graph index walk use this to materialise many edges
+// with exact-size allocations instead of per-edge sorted inserts.
+func NewFromUpperRuns(n int, off, up []int) *Graph {
+	if n < 0 {
+		panic("graphs: negative vertex count")
+	}
+	if len(off) != n+1 || off[0] != 0 || off[n] != len(up) {
+		panic(fmt.Sprintf("graphs: NewFromUpperRuns needs %d run offsets ending at %d", n+1, len(up)))
+	}
+	m := len(up)
+	density := 0.0
+	if n > 1 {
+		density = float64(m) / (float64(n) * float64(n-1) / 2)
+	}
+	g := NewAuto(n, density)
+	// at[v] starts as the number of v's neighbours below v; validating the
+	// runs counts them. It then becomes v's write cursor into adjBacking,
+	// where v's list is its lower neighbours (filled in increasing u)
+	// followed by its upper run.
+	at := make([]int, n+1)
+	for u := 0; u < n; u++ {
+		last := u
+		for _, v := range up[off[u]:off[u+1]] {
+			if v <= last || v >= n {
+				panic(fmt.Sprintf("graphs: NewFromUpperRuns run %d is not increasing within (%d, %d)", u, u, n))
+			}
+			at[v+1]++
+			last = v
+		}
+	}
+	for v := 0; v < n; v++ {
+		at[v+1] += at[v] + off[v+1] - off[v]
+	}
+	adjBacking := make([]int, 2*m)
+	for u := 0; u < n; u++ {
+		for _, v := range up[off[u]:off[u+1]] {
+			adjBacking[at[v]] = u
+			at[v]++
+		}
+	}
+	closedBacking := make([]int, 2*m+n)
+	a, c := 0, 0
+	for v := 0; v < n; v++ {
+		low := at[v] - a
+		end := at[v] + copy(adjBacking[at[v]:], up[off[v]:off[v+1]])
+		adj := adjBacking[a:end:end]
+		closed := closedBacking[c : c+len(adj)+1 : c+len(adj)+1]
+		copy(closed, adj[:low])
+		closed[low] = v
+		copy(closed[low+1:], adj[low:])
+		g.adj[v], g.closed[v] = adj, closed
+		a, c = end, c+len(closed)
+		if g.bits != nil {
+			for _, u := range adj {
+				g.bits[v][u/64] |= 1 << (uint(u) % 64)
+			}
+		}
+	}
+	g.m = m
+	return g
+}
+
 // OrClosedInto ORs the closed-neighbourhood bitset of v (adjacency row plus
 // the self bit) into dst, which must have at least Words() words. Bulk
 // closure construction (package strategy) unions rows this way instead of
